@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: build test race bench bench-json scaling-gate backend-gate obs-gate memo-gate chaos fuzz lint raxmlvet trace fmt clean
+.PHONY: build test race bench bench-json scaling-gate backend-gate obs-gate chaos fuzz lint raxmlvet trace fmt clean
 
 build:
 	$(GO) build ./...
@@ -17,14 +17,14 @@ bench:
 
 # bench-json measures the compute-backend x search-worker matrix of the
 # SPR search on the 42_SC stand-in workload and writes the result (timings,
-# kernel counters, host metadata, speedup, newview-ratio, memo, and
+# kernel counters, host metadata, speedup, newview-ratio and
 # instrumentation-overhead cells) as schema-validated JSON. The committed
-# snapshot is BENCH_PR10.json (BENCH_PR5/6/8/9.json are the retained
-# schema/1, /2, /3 and /4 snapshots — PR6 documents the 1.7x pooled newview
-# redundancy the shared vector store eliminated); CI regenerates a quick
-# variant and validates both. Extra flags:
+# snapshot is BENCH_PR12.json (BENCH_PR5/6/8/9/10.json are the retained
+# schema/1, /2, /3, /4 and /5 snapshots — PR6 documents the 1.7x pooled
+# newview redundancy the shared vector store eliminated); CI regenerates a
+# quick variant and validates both. Extra flags:
 # make bench-json BENCHJSON_FLAGS="-quick -out /tmp/smoke.json"
-BENCHJSON_FLAGS ?= -out BENCH_PR10.json
+BENCHJSON_FLAGS ?= -out BENCH_PR12.json
 bench-json:
 	$(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS)
 
@@ -76,22 +76,7 @@ obs-gate:
 	$(GO) run ./cmd/seqgen -seed 4251 -taxa 12 -sites 400 -out $(BIN)/obs.phy
 	$(GO) run ./cmd/raxml -in $(BIN)/obs.phy -inferences 1 -bootstraps 3 -workers 2 \
 		-rounds 2 -radius 3 -trace-out $(BIN)/wall-trace.json -flight-out $(BIN)/flight.json
-	$(GO) run ./cmd/benchjson -check BENCH_PR10.json -max-obs-overhead $(MAX_OBS_OVERHEAD)
-
-# memo-gate is the local mirror of the CI topology-memo gate: the memo-on
-# SPR search must replay the memo-off move sequence exactly (serial and
-# pooled, 42_SC fixture) while skipping work, the memo's lock discipline
-# must survive the race detector under concurrent probe/insert traffic and
-# a deliberately tiny eviction-churning capacity, a short fuzz session
-# round-trips random phylo2vec vectors through decode/encode, and the
-# committed bench snapshot must show the memo-on serial cell no slower
-# than its memo-off twin (only trustworthy on a quiet host, like the obs
-# overhead budget).
-memo-gate:
-	$(GO) test -count=1 -run 'TestTopoMemoEquivalenceGate42SC' ./internal/search
-	$(GO) test -race -count=1 -run 'TestTopoMemo' ./internal/search
-	$(GO) test -run=NONE -fuzz=FuzzPhylo2VecRoundTrip -fuzztime=$(FUZZTIME) ./internal/phylotree
-	$(GO) run ./cmd/benchjson -check BENCH_PR10.json -max-memo-ratio 1.0
+	$(GO) run ./cmd/benchjson -check BENCH_PR12.json -max-obs-overhead $(MAX_OBS_OVERHEAD)
 
 # chaos replays the fault-injection campaigns under the race detector with a
 # pinned seed, so a failure here is reproducible bit for bit. Override
@@ -101,11 +86,13 @@ chaos:
 		-run 'Chaos|Supervise|Quarantine|Retry|Hang|Backoff|Checkpoint|Resumed|Fault' \
 		./internal/mw/... ./internal/fault/... ./internal/core/...
 
-# fuzz throws random bytes at the checkpoint loaders for a short, CI-sized
+# fuzz throws random bytes at the checkpoint loaders and round-trips random
+# phylo2vec vectors through decode/encode, each for a short, CI-sized
 # session; longer local runs: make fuzz FUZZTIME=10m
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) ./internal/mw
+	$(GO) test -run=NONE -fuzz=FuzzPhylo2VecRoundTrip -fuzztime=$(FUZZTIME) ./internal/phylotree
 
 # lint mirrors the CI gates that need no network: gofmt, go vet, the
 # seven-analyzer project invariant suite (cmd/raxmlvet) driven through

@@ -1,6 +1,6 @@
 // Command benchjson measures the compute-backend and task-level-parallelism
 // speedups of the SPR search on the 42_SC stand-in workload and writes them
-// as machine-readable JSON (BENCH_PR10.json in the repo root is a committed
+// as machine-readable JSON (BENCH_PR12.json in the repo root is a committed
 // snapshot).
 //
 // The workload follows BenchmarkSearch42SC / BenchmarkParallelSPR42SC in
@@ -8,21 +8,20 @@
 // benchmark dimensions (seed 62), build the same parsimony starting tree
 // every run (seed 63), then hill-climb with Radius 3, MaxRounds 4,
 // SmoothPasses 2, Epsilon 0.05 — once per (backend, search-workers) cell of
-// the measurement matrix. (The benchmarks stop at 2 rounds; the extra
-// rounds here give the confirmation-gated topology memo enough repeat
-// traffic that its wall-time cell measures replay, not just probe cost.) Every cell must land on the identical logL and
-// move sequence (backends and the worker pool are compute/scheduling
-// changes, not search changes); benchjson enforces that before writing.
+// the measurement matrix. (The benchmarks cap the search at 2 rounds; here
+// the cap is 4, and the search converges within it from this start.) Every
+// cell must land on the identical logL and move sequence (backends and the
+// worker pool are compute/scheduling changes, not search changes);
+// benchjson enforces that before writing.
 //
 // Usage:
 //
-//	benchjson -out BENCH_PR10.json           # full matrix (best of -reps)
+//	benchjson -out BENCH_PR12.json           # full matrix (best of -reps)
 //	benchjson -quick -out /tmp/smoke.json    # single repetition (CI smoke)
 //	benchjson -backend batched -workers 1    # one backend, serial only
-//	benchjson -check BENCH_PR10.json         # parse + validate an existing file
+//	benchjson -check BENCH_PR12.json         # parse + validate an existing file
 //	benchjson -check f.json -min-speedup 1.5 # also gate pool scaling (CI)
 //	benchjson -check f.json -max-obs-overhead 1.02 # gate instrumentation cost
-//	benchjson -check f.json -max-memo-ratio 1.0    # gate memo-on wall time
 //
 // Besides wall-time speedups the report records pooled/serial newview-call
 // ratios per backend ("<backend>-<N>w" -> Newviews(Nw)/Newviews(1w)). These
@@ -62,9 +61,9 @@ import (
 	"raxmlcell/internal/wallclock"
 )
 
-// Entry is one measured (backend, workers, memo) cell of the matrix.
+// Entry is one measured (backend, workers) cell of the matrix.
 type Entry struct {
-	Name      string  `json:"name"` // "<backend>-<workers>w", "-nomemo" suffix when the memo is off
+	Name      string  `json:"name"` // "<backend>-<workers>w"
 	Backend   string  `json:"backend"`
 	Workers   int     `json:"workers"`
 	Reps      int     `json:"reps"`
@@ -77,16 +76,9 @@ type Entry struct {
 	Evaluates uint64  `json:"evaluate_calls"`
 	Flops     uint64  `json:"flops"`
 	Exps      uint64  `json:"exps"`
-
-	// Topology-memo accounting (schema /5): whether the cell ran with the
-	// content-addressed score memo, how many candidate evaluations it
-	// replayed instead of running (cache.topo_hits), the resulting hit rate,
-	// and how many candidates were scored fresh (search.candidates_scored —
-	// strictly lower on memo-on cells than their memo-off twin).
-	TopoMemo    bool    `json:"topo_memo"`
-	TopoHits    uint64  `json:"topo_hits"`
-	TopoHitRate float64 `json:"topo_hit_rate"`
-	CandsScored uint64  `json:"candidates_scored"`
+	// CandsScored is the search.candidates_scored counter: SPR/NNI
+	// insertion candidates the cell's search evaluated (schema /5).
+	CandsScored uint64 `json:"candidates_scored"`
 }
 
 // ObsOverhead is the cost-of-instrumentation cell: the same serial 42sc
@@ -116,14 +108,12 @@ type ObsOverhead struct {
 // ancestral-vector store is accountable to (validation rejects any ratio
 // above newviewRatioMax). Schema /4 adds the obs_overhead cell measuring
 // what the wall-clock tracing / flight / histogram instrumentation costs on
-// the same workload. Schema /5 adds the topology-memo axis: every cell
-// carries topo_memo/topo_hits/topo_hit_rate/candidates_scored, each backend
-// gains a serial memo-off twin ("<backend>-1w-nomemo"), the determinism gate
-// spans the memo axis too (memo on/off must agree on logL and the move
-// sequence — the memo only deletes repeated work), and the speedups map
-// gains "<backend>-memo-vs-nomemo-1w" (memo-off time over memo-on time).
+// the same workload. Schema /5 added per-cell candidates_scored. Schema /6
+// drops the topology-memo axis /5 carried (the topo_memo/topo_hits/
+// topo_hit_rate cell fields, the "<backend>-1w-nomemo" twin cells and the
+// "<backend>-memo-vs-nomemo-1w" speedups) together with the memo itself.
 type Report struct {
-	Schema        string             `json:"schema"` // "raxmlcell-bench/5"
+	Schema        string             `json:"schema"` // "raxmlcell-bench/6"
 	Generated     string             `json:"generated"`
 	GoVersion     string             `json:"go_version"`
 	GOOS          string             `json:"goos"`
@@ -138,7 +128,7 @@ type Report struct {
 	ObsOverhead   *ObsOverhead       `json:"obs_overhead"`
 }
 
-const schemaID = "raxmlcell-bench/5"
+const schemaID = "raxmlcell-bench/6"
 
 // newviewRatioMax is the redundancy budget: a pooled cell may perform at
 // most 15% more newview calls than the serial cell of the same backend.
@@ -147,7 +137,7 @@ const newviewRatioMax = 1.15
 
 func main() {
 	var (
-		out      = flag.String("out", "BENCH_PR10.json", "output path")
+		out      = flag.String("out", "BENCH_PR12.json", "output path")
 		backends = flag.String("backend", "", "comma-separated compute backends to measure (default: all registered: "+strings.Join(likelihood.Backends(), ", ")+")")
 		workers  = flag.String("workers", "1,2,4", "comma-separated search-worker counts per backend")
 		reps     = flag.Int("reps", 3, "repetitions per entry; the best time is reported")
@@ -155,12 +145,11 @@ func main() {
 		check    = flag.String("check", "", "validate an existing report file and exit")
 		minSpeed = flag.Float64("min-speedup", 0, "fail validation if any backend's largest in-budget pool-scaling speedup (workers <= gomaxprocs of the measuring host) is below this (0 = no gate; CI passes 1.5)")
 		maxObs   = flag.Float64("max-obs-overhead", 0, "fail validation if the obs_overhead ratio (instrumented/baseline wall time) exceeds this (0 = no gate; CI passes 1.02)")
-		maxMemo  = flag.Float64("max-memo-ratio", 0, "fail validation if any backend's memo-on serial wall time exceeds this multiple of its memo-off twin (0 = no gate; the committed snapshot passes 1.0: memo-on must not be slower)")
 	)
 	flag.Parse()
 
 	if *check != "" {
-		if err := checkFile(*check, *minSpeed, *maxObs, *maxMemo); err != nil {
+		if err := checkFile(*check, *minSpeed, *maxObs); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *check, err)
 			os.Exit(1)
 		}
@@ -198,7 +187,7 @@ func main() {
 	// Self-validate what was just written: the committed snapshot must pass
 	// the same gate CI applies (including -min-speedup / -max-obs-overhead
 	// when the caller set them).
-	if err := checkFile(*out, *minSpeed, *maxObs, *maxMemo); err != nil {
+	if err := checkFile(*out, *minSpeed, *maxObs); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: wrote invalid report: %v\n", err)
 		os.Exit(1)
 	}
@@ -260,31 +249,17 @@ func measure(backends []string, workers []int, reps int) (*Report, error) {
 
 	var entries []Entry
 	for _, bk := range backends {
-		// The serial memo-on/memo-off pair is measured interleaved (like the
-		// obs_overhead cell) so host drift lands on both sides equally — the
-		// memo's wall-time claim is a small difference between near-equal
-		// times, exactly the regime where back-to-back cells lie.
-		on, off, err := runEntryPair(pat, bk, reps)
-		if err != nil {
-			return nil, err
-		}
 		for _, w := range workers {
-			if w == 1 {
-				continue
-			}
-			e, err := runEntry(pat, bk, w, reps, true)
+			e, err := runEntry(pat, bk, w, reps)
 			if err != nil {
 				return nil, err
 			}
 			entries = append(entries, *e)
 		}
-		entries = append(entries, *on, *off)
 	}
 	// Determinism gate: no cell of the matrix may change the search result.
 	// Backends promise logL within 1e-9 of scalar and the identical move
-	// sequence; the worker pool is a pure scheduling change, and the
-	// topology memo only skips candidates that provably lose — so the
-	// memo-off twins must agree too (the in-matrix equivalence evidence).
+	// sequence; the worker pool is a pure scheduling change.
 	ref := entries[0]
 	for _, e := range entries[1:] {
 		if math.Abs(ref.LogL-e.LogL) > 1e-9*math.Max(1, math.Abs(ref.LogL)) {
@@ -416,17 +391,15 @@ func measureObsOverhead(pat *alignment.Patterns, backend string, reps int) (*Obs
 // a time ratio — host-independent, and what the shared ancestral-vector
 // store is gated on.
 func newviewRatios(entries []Entry) map[string]float64 {
-	// Memo-off twins are excluded on both sides: the ratio isolates pool
-	// redundancy, so numerator and denominator must share the memo setting.
-	serial := map[string]uint64{} // backend -> 1-worker memo-on newview calls
+	serial := map[string]uint64{} // backend -> 1-worker newview calls
 	for _, e := range entries {
-		if e.Workers == 1 && e.TopoMemo {
+		if e.Workers == 1 {
 			serial[e.Backend] = e.Newviews
 		}
 	}
 	nr := map[string]float64{}
 	for _, e := range entries {
-		if s, ok := serial[e.Backend]; ok && e.Workers > 1 && e.TopoMemo && s > 0 {
+		if s, ok := serial[e.Backend]; ok && e.Workers > 1 && s > 0 {
 			nr[e.Name] = float64(e.Newviews) / float64(s)
 		}
 	}
@@ -434,31 +407,21 @@ func newviewRatios(entries []Entry) map[string]float64 {
 }
 
 // speedups derives the comparison map: each backend's pool scaling against
-// its own serial cell, each non-scalar backend against scalar at equal
-// worker counts (all memo-on cells), and the topology memo's own win —
-// "<backend>-memo-vs-nomemo-1w", the memo-off serial time over the memo-on
-// serial time of the same backend.
+// its own serial cell, and each non-scalar backend against scalar at equal
+// worker counts.
 func speedups(entries []Entry) map[string]float64 {
-	serial := map[string]int64{} // backend -> 1-worker memo-on ns
-	nomemo := map[string]int64{} // backend -> 1-worker memo-off ns
-	scalar := map[int]int64{}    // workers -> scalar memo-on ns
+	serial := map[string]int64{} // backend -> 1-worker ns
+	scalar := map[int]int64{}    // workers -> scalar ns
 	for _, e := range entries {
 		if e.Workers == 1 {
-			if e.TopoMemo {
-				serial[e.Backend] = e.NsPerOp
-			} else {
-				nomemo[e.Backend] = e.NsPerOp
-			}
+			serial[e.Backend] = e.NsPerOp
 		}
-		if e.Backend == "scalar" && e.TopoMemo {
+		if e.Backend == "scalar" {
 			scalar[e.Workers] = e.NsPerOp
 		}
 	}
 	sp := map[string]float64{}
 	for _, e := range entries {
-		if !e.TopoMemo {
-			continue
-		}
 		if s, ok := serial[e.Backend]; ok && e.Workers > 1 {
 			sp[e.Name] = float64(s) / float64(e.NsPerOp)
 		}
@@ -466,32 +429,14 @@ func speedups(entries []Entry) map[string]float64 {
 			sp[fmt.Sprintf("%s-vs-scalar-%dw", e.Backend, e.Workers)] = float64(s) / float64(e.NsPerOp)
 		}
 	}
-	for bk, off := range nomemo {
-		if on, ok := serial[bk]; ok {
-			sp[bk+"-memo-vs-nomemo-1w"] = float64(off) / float64(on)
-		}
-	}
 	return sp
-}
-
-// newEntry builds the empty cell for one (backend, workers, memo) point.
-func newEntry(backend string, workers, reps int, memo bool) *Entry {
-	name := fmt.Sprintf("%s-%dw", backend, workers)
-	if !memo {
-		name += "-nomemo"
-	}
-	return &Entry{
-		Name:    name,
-		Backend: backend, Workers: workers, Reps: reps, NsPerOp: math.MaxInt64,
-		TopoMemo: memo,
-	}
 }
 
 // repInto runs one repetition of the cell's search and folds the wall time
 // (keeping the minimum) and the deterministic result/counters into e. Every
-// rep carries a fresh metrics registry so the memo accounting (hits, hit
-// rate, fresh candidate scores) reflects a single search; the registry cost
-// is identical across cells, so comparisons stay fair.
+// rep carries a fresh metrics registry so candidates_scored reflects a
+// single search; the registry cost is identical across cells, so
+// comparisons stay fair.
 func repInto(pat *alignment.Patterns, e *Entry) error {
 	start, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(63)))
 	if err != nil {
@@ -505,7 +450,7 @@ func repInto(pat *alignment.Patterns, e *Entry) error {
 	t0 := time.Now()
 	res, err := search.Run(eng, start, search.Options{
 		Radius: 3, MaxRounds: 4, SmoothPasses: 2, Epsilon: 0.05,
-		Workers: e.Workers, NoTopoMemo: !e.TopoMemo, Metrics: reg,
+		Workers: e.Workers, Metrics: reg,
 	})
 	if err != nil {
 		return err
@@ -518,53 +463,24 @@ func repInto(pat *alignment.Patterns, e *Entry) error {
 	e.Newviews, e.Makenewzs, e.Evaluates = mt.NewviewCalls, mt.MakenewzCalls, mt.EvaluateCalls
 	e.Flops, e.Exps = mt.Flops(), mt.Exps
 	snap := reg.Snapshot()
-	e.TopoHits, _ = snap.CounterValue("cache.topo_hits")
-	e.TopoHitRate, _ = snap.GaugeValue("cache.topo_hit_rate")
 	e.CandsScored, _ = snap.CounterValue("search.candidates_scored")
 	return nil
 }
 
-// runEntry measures one (backend, workers, memo) cell, reporting the best
-// wall time over reps repetitions and the (deterministic) result of the
-// last one.
-func runEntry(pat *alignment.Patterns, backend string, workers, reps int, memo bool) (*Entry, error) {
-	e := newEntry(backend, workers, reps, memo)
+// runEntry measures one (backend, workers) cell, reporting the best wall
+// time over reps repetitions and the (deterministic) result of the last
+// one.
+func runEntry(pat *alignment.Patterns, backend string, workers, reps int) (*Entry, error) {
+	e := &Entry{
+		Name:    fmt.Sprintf("%s-%dw", backend, workers),
+		Backend: backend, Workers: workers, Reps: reps, NsPerOp: math.MaxInt64,
+	}
 	for r := 0; r < reps; r++ {
 		if err := repInto(pat, e); err != nil {
 			return nil, err
 		}
 	}
 	return e, nil
-}
-
-// runEntryPair measures the serial memo-on and memo-off cells of one
-// backend interleaved, rep pair by rep pair with alternating order — the
-// same noise-rejection scheme as measureObsOverhead, because the memo's
-// wall-time delta is small enough for back-to-back cells to be dominated by
-// host drift. At least minMemoPairs pairs run even under -quick: the fold
-// keeps the per-cell minimum, and on a busy host slow bursts outlast a
-// single pair, so both cells need enough pairs to each land in an unloaded
-// window before the min is trustworthy.
-func runEntryPair(pat *alignment.Patterns, backend string, reps int) (on, off *Entry, err error) {
-	const minMemoPairs = 9
-	pairs := reps
-	if pairs < minMemoPairs {
-		pairs = minMemoPairs
-	}
-	on = newEntry(backend, 1, pairs, true)
-	off = newEntry(backend, 1, pairs, false)
-	for r := 0; r < pairs; r++ {
-		sides := [2]*Entry{on, off}
-		if r%2 == 1 {
-			sides = [2]*Entry{off, on}
-		}
-		for _, e := range sides {
-			if err := repInto(pat, e); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return on, off, nil
 }
 
 // checkFile parses and validates a report: schema tag, a full matrix of
@@ -578,14 +494,7 @@ func runEntryPair(pat *alignment.Patterns, backend string, reps int) (on, off *E
 // not scaling, and is not held to a wall-time bar). When maxObsOverhead > 0,
 // the obs_overhead ratio must not exceed it (opt-in for the same reason as
 // the scaling gate: wall-time ratios are only trustworthy on a quiet host).
-//
-// Schema /5 additionally requires every backend to carry a serial memo-off
-// twin agreeing with its memo-on cell on the search result, with the memo-on
-// cell actually replaying scores (topo_hits > 0, hit rate in (0,1]) and
-// scoring strictly fewer fresh candidates. When maxMemoRatio > 0, the
-// memo-on serial wall time must stay within that multiple of the memo-off
-// twin's (1.0 = "the memo must not cost time", the committed-snapshot gate).
-func checkFile(path string, minSpeedup, maxObsOverhead, maxMemoRatio float64) error {
+func checkFile(path string, minSpeedup, maxObsOverhead float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -647,48 +556,6 @@ func checkFile(path string, minSpeedup, maxObsOverhead, maxMemoRatio float64) er
 	for name, v := range rep.Speedups {
 		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("speedup %s: %v", name, v)
-		}
-	}
-
-	// Topology-memo gate: every backend carries a serial memo-off twin; the
-	// memo-on serial cell must have replayed scores (hits > 0) and scored
-	// strictly fewer fresh candidates, while memo-off cells must report no
-	// memo activity at all. The search-result agreement across the memo axis
-	// was already enforced by the determinism loop above.
-	for _, bk := range rep.Backends {
-		var on, off *Entry
-		for i := range rep.Entries {
-			e := &rep.Entries[i]
-			if e.Backend != bk || e.Workers != 1 {
-				continue
-			}
-			if e.TopoMemo {
-				on = e
-			} else {
-				off = e
-			}
-		}
-		if on == nil || off == nil {
-			return fmt.Errorf("backend %s: missing serial memo-on/memo-off pair", bk)
-		}
-		if off.TopoHits != 0 || off.TopoHitRate != 0 {
-			return fmt.Errorf("%s: memo-off cell reports memo activity (hits %d, rate %v)",
-				off.Name, off.TopoHits, off.TopoHitRate)
-		}
-		if on.TopoHits == 0 || on.TopoHitRate <= 0 || on.TopoHitRate > 1 {
-			return fmt.Errorf("%s: memo never replayed a score (hits %d, rate %v)",
-				on.Name, on.TopoHits, on.TopoHitRate)
-		}
-		if off.CandsScored == 0 || on.CandsScored >= off.CandsScored {
-			return fmt.Errorf("%s scored %d fresh candidates, memo-off twin %d — the memo deleted no work",
-				on.Name, on.CandsScored, off.CandsScored)
-		}
-		if maxMemoRatio > 0 {
-			ratio := float64(on.NsPerOp) / float64(off.NsPerOp)
-			if ratio > maxMemoRatio {
-				return fmt.Errorf("%s: memo-on wall time %.3fx of memo-off exceeds the %.2fx budget",
-					on.Name, ratio, maxMemoRatio)
-			}
 		}
 	}
 

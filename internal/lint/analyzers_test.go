@@ -40,9 +40,10 @@ func TestHotPathAllocObsGolden(t *testing.T) {
 	linttest.Run(t, lint.HotPathAlloc, "raxmlcell/internal/obs", "testdata/hotpathalloc/obs")
 }
 
-// The topology-memo probe path (TopoHasher edge terms, PruneScope
-// candidate hashes, memo probes) runs once per SPR/NNI candidate, so the
-// allocation bans extend to internal/phylotree's memo/hash/probe helpers.
+// The canonical topology hash walks every edge of every fingerprinted tree
+// (once per replicate under dedup), so the allocation bans extend to
+// internal/phylotree's hash helpers; names without a hot fragment stay
+// out of scope.
 func TestHotPathAllocPhylotreeGolden(t *testing.T) {
 	linttest.Run(t, lint.HotPathAlloc, "raxmlcell/internal/phylotree", "testdata/hotpathalloc/phylotree")
 }

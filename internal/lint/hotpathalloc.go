@@ -36,16 +36,15 @@ import (
 // is that instrumentation must be free — so internal/obs is in scope and
 // the fragments include observe/record/span.
 //
-// The topology-memo probe path joined the same loops: every SPR/NNI
-// candidate is hashed (TopoHasher edge terms, PruneScope.CandidateHash)
-// and probed against the memo before — or instead of — being scored, so
-// an allocation in the hashing or probing helpers taxes every candidate
-// whether or not the memo hits. internal/phylotree is in scope and the
-// fragments include memo/hash/probe.
+// The canonical topology hash (TopoHasher.TreeHash) walks every edge of
+// every tree it fingerprints, and replicate dedup runs it once per
+// bootstrap or inference tree before consensus, so an allocation in a
+// per-edge hashing loop multiplies by edges x trees. internal/phylotree is
+// in scope and the fragments include hash.
 //
 // Inside functions whose name contains combine/newview/makenewz/evaluate/
-// fastexp/spr/nni/insertion/tile/sumtable/newton/observe/record/span/
-// memo/hash/probe (case-insensitive), the analyzer reports:
+// fastexp/spr/nni/insertion/tile/sumtable/newton/observe/record/span/hash
+// (case-insensitive), the analyzer reports:
 //
 //   - make(), append(), new() and slice/map composite literals inside any
 //     loop — preallocate scratch buffers on the Engine (kernels) or the
@@ -64,7 +63,7 @@ var HotPathAlloc = &Analyzer{
 	Run: runHotPathAlloc,
 }
 
-var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "memo", "hash", "probe"}
+var hotFuncFragments = []string{"combine", "newview", "makenewz", "evaluate", "fastexp", "spr", "nni", "insertion", "tile", "sumtable", "newton", "observe", "record", "span", "hash"}
 
 func isHotFuncName(name string) bool {
 	lower := strings.ToLower(name)

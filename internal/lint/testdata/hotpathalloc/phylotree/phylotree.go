@@ -1,9 +1,9 @@
-// Golden input for the memo-widened hotpathalloc scope: this file pretends
-// to live in raxmlcell/internal/phylotree. Functions whose names contain
-// memo/hash/probe are the topology-memo probe path — they run once per
-// SPR/NNI candidate, before (or instead of) the likelihood evaluation, so
-// per-candidate allocations tax every candidate whether or not the memo
-// hits. Scratch belongs on the hasher/scope struct, sized once.
+// Golden input for the hotpathalloc scope in internal/phylotree: this file
+// pretends to live in raxmlcell/internal/phylotree. Functions whose names
+// contain hash are the canonical topology-hash path — they walk every edge
+// of every fingerprinted tree, once per replicate under dedup, so
+// per-edge allocations multiply by edges x trees. Scratch belongs on the
+// hasher struct, sized once.
 package phylotree
 
 import "fmt"
@@ -27,35 +27,45 @@ func (h *hasher) treeHashEdges(edges int) topoHash {
 	return sum
 }
 
-func (h *hasher) probeCandidates(n int) int {
-	hits := 0
-	lookup := func(i int) bool {
-		seen := make(map[topoHash]bool, 1) // want `make allocates inside a per-iteration closure`
-		return seen[h.acc[i%len(h.acc)]]
+func (h *hasher) dedupHashes(n int) int {
+	dups := 0
+	seen := func(i int) bool {
+		set := make(map[topoHash]bool, 1) // want `make allocates inside a per-iteration closure`
+		return set[h.acc[i%len(h.acc)]]
 	}
 	for i := 0; i < n; i++ {
-		if lookup(i) {
-			hits++
+		if seen(i) {
+			dups++
 		}
 	}
-	return hits
+	return dups
 }
 
-func (h *hasher) candidateHashPrealloc(at int) topoHash {
-	// The sanctioned idiom: the accumulator table was sized at Reset time,
-	// the per-candidate hash is pure arithmetic on it — nothing to report.
+func (h *hasher) edgeHashPrealloc(at int) topoHash {
+	// The sanctioned idiom: the key tables were sized at construction, the
+	// per-edge term is pure arithmetic on them — nothing to report.
 	base := h.acc[at%len(h.acc)]
 	base[0] += h.keys[at%len(h.keys)][0]
 	base[1] += h.keys[at%len(h.keys)][1]
 	return base
 }
 
-// buildTaxaIndex is outside the hot set (no memo/hash/probe fragment):
-// the same allocation patterns are allowed.
+// buildTaxaIndex is outside the hot set (no hot fragment): the same
+// allocation patterns are allowed.
 func buildTaxaIndex(n int) map[int]topoHash {
 	out := make(map[int]topoHash, n)
 	for i := 0; i < n; i++ {
 		out[i] = topoHash{uint64(i), uint64(i)}
+	}
+	return out
+}
+
+// memoProbeScores carries the retired memo/probe fragments: they no longer
+// mark a function hot, so its allocations are not reported.
+func (h *hasher) memoProbeScores(n int) []topoHash {
+	var out []topoHash
+	for i := 0; i < n; i++ {
+		out = append(out, h.acc[i%len(h.acc)])
 	}
 	return out
 }

@@ -47,7 +47,7 @@ func nniRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, baselin
 		// two branches hanging off v (now reachable from the junction).
 		sc.cands = appendNNITargets(sc.cands[:0], v, ps.P)
 
-		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub, current+eps)
+		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub)
 		if err != nil {
 			stage, stageErr = "trial", err
 			break

@@ -56,20 +56,11 @@ const minParallelCandidates = 4
 
 // candScore is one scored insertion candidate. ok marks candidates that
 // carry a usable score (detached edges are skipped, mirroring the serial
-// loop's continue); hit marks scores replayed from the topology memo
-// instead of a fresh likelihood evaluation.
+// loop's continue).
 type candScore struct {
 	z, ll float64
 	ok    bool
-	hit   bool
 	err   error
-}
-
-// topoProbe records the candidate's topology hash between the probe and the
-// post-scoring memo insert (only misses that scored fresh are inserted).
-type topoProbe struct {
-	hash phylotree.TopoHash
-	ok   bool
 }
 
 // searchCtx carries the task-parallel state of one search: the worker pool
@@ -80,11 +71,11 @@ type searchCtx struct {
 	pool  *likelihood.Pool
 	views []*likelihood.Views
 
-	// shared, when non-nil, is the engine-wide epoch-tagged vector store
-	// every worker's Views reads through (Options.NoSharedCache opts out):
-	// the composition of the incremental cache with the pool that removes
-	// the per-worker recomputation of shared-path vectors. serialViews is
-	// its primary-context binding, used by the below-minParallelCandidates
+	// shared is the engine-wide epoch-tagged vector store every worker's
+	// Views reads through (nil for serial searches): the composition of the
+	// incremental cache with the pool that removes the per-worker
+	// recomputation of shared-path vectors. serialViews is its
+	// primary-context binding, used by the below-minParallelCandidates
 	// fallback so small candidate sets still reuse (and warm) the store
 	// with their kernel counters flowing straight into Engine.Meter.
 	shared      *likelihood.SharedCache
@@ -92,15 +83,6 @@ type searchCtx struct {
 
 	cands  []*phylotree.Node
 	scores []candScore
-
-	// Topology memoization (Options.NoTopoMemo opts out): hasher and
-	// per-prune scope compute each candidate's would-be topology hash
-	// incrementally, memo replays scores for topologies already measured.
-	// probes is the per-candidate hash buffer, reused like cands/scores.
-	memo   *TopoMemo
-	hasher *phylotree.TopoHasher
-	pscope *phylotree.PruneScope
-	probes []topoProbe
 
 	// roundParallel records whether the current round used the pool at
 	// least once; rounds whose prunes all fell under minParallelCandidates
@@ -118,63 +100,37 @@ type searchCtx struct {
 	sharedHits       *obs.Counter
 	epochGauge       *obs.Gauge
 	busyPeak         *obs.Gauge
-
-	topoHits      *obs.Counter
-	topoMisses    *obs.Counter
-	topoRequeries *obs.Counter
-	topoEvictions *obs.Counter
-	topoHitRate   *obs.Gauge
-	topoDrift     *obs.Gauge
-	topoConfDrift *obs.Gauge
 }
 
 // newSearchCtx builds the per-search state from the options: a worker pool
-// with per-worker view tables when opt.Workers > 1 (also installed as the
-// engine's wavefront executor), and metric handles when opt.Metrics is set.
+// with shared-store-backed per-worker view tables when opt.Workers > 1
+// (also installed as the engine's wavefront executor), and metric handles
+// when opt.Metrics is set.
 func newSearchCtx(eng *likelihood.Engine, opt Options) *searchCtx {
 	sc := &searchCtx{traceRound: opt.Trace}
-	if !opt.NoTopoMemo {
-		sc.memo = NewTopoMemo(opt.TopoMemoCap)
-		sc.hasher = phylotree.NewTopoHasher(eng.Pat.NumTaxa)
-		sc.pscope = phylotree.NewPruneScope(sc.hasher)
-	}
 	if opt.Metrics != nil {
 		sc.candidatesScored = opt.Metrics.Counter("search.candidates_scored")
 		sc.parallelRounds = opt.Metrics.Counter("search.parallel_rounds")
-		if sc.memo != nil {
-			sc.topoHits = opt.Metrics.Counter("cache.topo_hits")
-			sc.topoMisses = opt.Metrics.Counter("cache.topo_misses")
-			sc.topoRequeries = opt.Metrics.Counter("cache.topo_requeries")
-			sc.topoEvictions = opt.Metrics.Counter("cache.topo_evictions")
-			sc.topoHitRate = opt.Metrics.Gauge("cache.topo_hit_rate")
-			sc.topoDrift = opt.Metrics.Gauge("cache.topo_drift_max")
-			sc.topoConfDrift = opt.Metrics.Gauge("cache.topo_confirmed_drift_max")
-		}
 	}
 	if opt.Workers > 1 {
 		sc.pool = eng.NewPool(opt.Workers)
 		eng.UsePool(sc.pool)
+		sc.shared = eng.NewSharedCache()
+		eng.UseSharedCache(sc.shared)
+		// Shared-backed view tables are built once and survive tree edits
+		// (the store's epoch tags track them) — no per-prune rebuild.
 		sc.views = make([]*likelihood.Views, sc.pool.Workers())
-		if !opt.NoSharedCache {
-			sc.shared = eng.NewSharedCache()
-			eng.UseSharedCache(sc.shared)
-			// Shared-backed view tables are built once and survive tree
-			// edits (the store's epoch tags track them) — no per-prune
-			// rebuild, unlike the private per-worker tables they replace.
-			for w := range sc.views {
-				sc.views[w] = sc.pool.Ctx(w).NewSharedViews(sc.shared)
-			}
-			sc.serialViews = eng.NewSharedViews(sc.shared)
+		for w := range sc.views {
+			sc.views[w] = sc.pool.Ctx(w).NewSharedViews(sc.shared)
 		}
+		sc.serialViews = eng.NewSharedViews(sc.shared)
 		if opt.Metrics != nil {
 			opt.Metrics.Gauge("search.pool_workers").Set(float64(sc.pool.Workers()))
 			busy := opt.Metrics.Gauge("search.pool_busy")
 			sc.pool.OnOccupancy = func(b, _ int) { busy.Set(float64(b)) }
 			sc.busyPeak = opt.Metrics.Gauge("search.pool_busy_peak")
-			if sc.shared != nil {
-				sc.sharedHits = opt.Metrics.Counter("cache.shared_hits")
-				sc.epochGauge = opt.Metrics.Gauge("cache.epoch")
-			}
+			sc.sharedHits = opt.Metrics.Counter("cache.shared_hits")
+			sc.epochGauge = opt.Metrics.Gauge("cache.epoch")
 		}
 	}
 	return sc
@@ -185,10 +141,8 @@ func newSearchCtx(eng *likelihood.Engine, opt Options) *searchCtx {
 // engine back to the caller.
 func (sc *searchCtx) close(eng *likelihood.Engine) {
 	sc.publishCacheMetrics()
-	if sc.shared != nil {
-		eng.UseSharedCache(nil)
-	}
 	if sc.pool != nil {
+		eng.UseSharedCache(nil)
 		eng.UsePool(nil)
 		if sc.candidatesScored != nil {
 			sc.pool.OnOccupancy = nil
@@ -199,68 +153,34 @@ func (sc *searchCtx) close(eng *likelihood.Engine) {
 // publishCacheMetrics republishes the shared-store totals and the pool's
 // occupancy high-water mark; called at every round boundary and at close.
 func (sc *searchCtx) publishCacheMetrics() {
-	if sc.shared != nil && sc.sharedHits != nil {
+	if sc.sharedHits != nil {
 		sc.sharedHits.Store(sc.shared.Hits())
 		sc.epochGauge.Set(float64(sc.shared.Epoch()))
-	}
-	if sc.pool != nil && sc.busyPeak != nil {
 		sc.busyPeak.Set(float64(sc.pool.PeakBusy()))
-	}
-	if sc.memo != nil && sc.topoHits != nil {
-		hits, misses, requeries, evictions := sc.memo.Stats()
-		sc.topoHits.Store(hits)
-		sc.topoMisses.Store(misses)
-		sc.topoRequeries.Store(requeries)
-		sc.topoEvictions.Store(evictions)
-		if tot := hits + misses + requeries; tot > 0 {
-			sc.topoHitRate.Set(float64(hits) / float64(tot))
-		}
-		drift, _ := sc.memo.MaxDrift()
-		sc.topoDrift.Set(drift)
-		sc.topoConfDrift.Set(sc.memo.ConfirmedDrift())
 	}
 }
 
 // scoreInsertions fills sc.scores with the lazy insertion score of every
 // candidate edge for the subtree pruned by ps (starting branch length z0).
 // With a pool it fans the candidates out, each worker scoring through its
-// own context's Views; serially it scores through one shared Views in
-// candidate order, exactly like the pre-parallel code. Either way the
-// returned slice is indexed by candidate, so the caller's reduction — and
-// therefore the chosen move — is independent of scheduling. The first
-// error in candidate order wins, matching the serial early-exit.
-//
-// With the topology memo on, every candidate is first priced by the
-// canonical hash of its would-be topology (O(1) per candidate after the
-// per-prune PruneScope pass): once the memo is armed, hits more than the
-// safety margin below limit — the acceptance threshold current+eps — replay
-// the memoized score and skip the evaluation entirely; everything else
-// scores fresh and inserts into the memo afterwards. Probes run against the
-// memo as it stood before this fan-out (inserts are post-loop in both the
-// serial and pooled paths), so hit patterns — and scores — are
-// schedule-independent.
-func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.Node, ps *phylotree.PrunedSubtree, z0, limit float64) ([]candScore, error) {
+// own context's Views; serially it scores through one Views in candidate
+// order, exactly like the pre-parallel code. Either way the returned slice
+// is indexed by candidate, so the caller's reduction — and therefore the
+// chosen move — is independent of scheduling. The first error in candidate
+// order wins, matching the serial early-exit.
+func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.Node, ps *phylotree.PrunedSubtree, z0 float64) ([]candScore, error) {
 	sub := ps.P
-	memoOn := sc.memo != nil && !sc.memo.Disabled()
-	if memoOn {
-		if err := sc.pscope.Reset(ps); err != nil {
-			memoOn = false // fall back to fresh scoring for this prune
-		}
-	}
-	if sc.candidatesScored != nil && !memoOn {
+	if sc.candidatesScored != nil {
 		sc.candidatesScored.Add(uint64(len(cands)))
 	}
 	csp := sc.traceRound.Start("candidates", "search")
 	defer csp.End()
 	if cap(sc.scores) < len(cands) {
 		sc.scores = make([]candScore, len(cands))
-		sc.probes = make([]topoProbe, len(cands))
 	}
 	scores := sc.scores[:len(cands)]
-	probes := sc.probes[:len(cands)]
 	for i := range scores {
 		scores[i] = candScore{}
-		probes[i] = topoProbe{}
 	}
 
 	if sc.pool == nil || len(cands) < minParallelCandidates {
@@ -276,9 +196,6 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 			if cand.Back == nil {
 				continue
 			}
-			if memoOn && sc.probeCandidate(cand, i, scores, probes, z0, limit) {
-				continue
-			}
 			z, ll, err := views.InsertionScore(cand, sub, z0)
 			if err != nil {
 				if oneShot {
@@ -291,90 +208,24 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 		if oneShot {
 			views.Release()
 		}
-		sc.insertMisses(scores, probes, memoOn)
 		return scores, nil
 	}
 
 	sc.roundParallel = true
-	if sc.shared == nil {
-		// Private per-worker tables are rebuilt per prune: each worker
-		// recomputes its own copy of the shared-path vectors (the pre-PR-8
-		// redundancy the shared store eliminates; kept as the
-		// NoSharedCache baseline for redundancy accounting).
-		for w := range sc.views {
-			sc.views[w] = sc.pool.Ctx(w).NewViews()
-		}
-	}
 	sc.pool.Run(len(cands), func(w, i int) {
 		cand := cands[i]
 		if cand.Back == nil {
 			return
 		}
-		if memoOn && sc.probeCandidate(cand, i, scores, probes, z0, limit) {
-			return
-		}
 		z, ll, err := sc.views[w].InsertionScore(cand, sub, z0)
 		scores[i] = candScore{z: z, ll: ll, ok: err == nil, err: err}
 	})
-	if sc.shared == nil {
-		for w := range sc.views {
-			sc.views[w].Release()
-			sc.views[w] = nil
-		}
-	}
 	for i := range scores {
 		if scores[i].err != nil {
 			return nil, scores[i].err
 		}
 	}
-	sc.insertMisses(scores, probes, memoOn)
 	return scores, nil
-}
-
-// probeCandidate prices one candidate against the topology memo, filling
-// scores[i] with the replayed score on a hit. It records the hash in
-// probes[i] on a miss or requery so insertMisses can memoize the fresh
-// score. Safe for concurrent calls from pool workers: the prune scope is
-// read-only between Reset and the next prune, the memo probe takes a read
-// lock and its arming/disable state only changes in Insert — which the
-// search serializes between fan-outs — and each invocation touches only its
-// own index.
-func (sc *searchCtx) probeCandidate(cand *phylotree.Node, i int, scores []candScore, probes []topoProbe, z0, limit float64) bool {
-	h, ok := sc.pscope.CandidateHash(cand)
-	if !ok {
-		return false
-	}
-	if est, hit := sc.memo.Probe(h, limit); hit {
-		scores[i] = candScore{z: z0, ll: est, ok: true, hit: true}
-		return true
-	}
-	probes[i] = topoProbe{hash: h, ok: true}
-	return false
-}
-
-// insertMisses memoizes the freshly scored candidates of one fan-out and
-// counts them into search.candidates_scored (memo hits are exactly the
-// evaluations the search did not run, so they are not counted). It runs on
-// the search goroutine after the fan-out joined: probes never race inserts,
-// which keeps the per-prune hit pattern deterministic, and every refresh of
-// a known topology feeds the memo's drift calibration.
-func (sc *searchCtx) insertMisses(scores []candScore, probes []topoProbe, memoOn bool) {
-	if !memoOn {
-		return
-	}
-	fresh := 0
-	for i := range scores {
-		if !scores[i].ok || scores[i].hit {
-			continue
-		}
-		fresh++
-		if probes[i].ok {
-			sc.memo.Insert(probes[i].hash, scores[i].ll)
-		}
-	}
-	if sc.candidatesScored != nil {
-		sc.candidatesScored.Add(uint64(fresh))
-	}
 }
 
 // bestCandidate is the SPR winner reduction: the highest log-likelihood

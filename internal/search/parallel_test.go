@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"raxmlcell/internal/likelihood"
@@ -66,15 +67,9 @@ func TestBestNNICandidateChain(t *testing.T) {
 }
 
 // runSPR42SC runs the full SPR search on the 42_SC fixture with the given
-// worker count, starting from the same parsimony tree every time.
+// worker count, starting from the same parsimony tree every time;
+// Radius/rounds/epsilon are pinned.
 func runSPR42SC(t *testing.T, workers int, reg *obs.Registry) (*Result, likelihood.Meter) {
-	t.Helper()
-	return runSPR42SCOpts(t, Options{Workers: workers, Metrics: reg})
-}
-
-// runSPR42SCOpts is runSPR42SC with full option control (NoSharedCache for
-// the redundancy baseline); Radius/rounds/epsilon are pinned.
-func runSPR42SCOpts(t *testing.T, opt Options) (*Result, likelihood.Meter) {
 	t.Helper()
 	pat := load42SC(t)
 	m := seqsim.DefaultModel()
@@ -86,7 +81,7 @@ func runSPR42SCOpts(t *testing.T, opt Options) (*Result, likelihood.Meter) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Radius, opt.MaxRounds, opt.SmoothPasses, opt.Epsilon = 3, 2, 2, 0.05
+	opt := Options{Radius: 3, MaxRounds: 2, SmoothPasses: 2, Epsilon: 0.05, Workers: workers, Metrics: reg}
 	res, err := Run(eng, start, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -101,12 +96,16 @@ func runSPR42SCOpts(t *testing.T, opt Options) (*Result, likelihood.Meter) {
 // scheduling change, never a search-path change — and, with the shared
 // vector store on (the default), the pooled run must not redo shared-path
 // kernel work: its newview-call total stays within 1.15x of serial.
+// Both runs publish metrics: they must score the same number of insertion
+// candidates, and the only cache.* series either may publish are the shared
+// vector store's (no topology-memo series).
 func TestParallelSPRCrossValidation42SC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full SPR search on 42 taxa, twice")
 	}
-	serial, mtSerial := runSPR42SC(t, 1, nil)
-	pooled, mtPooled := runSPR42SC(t, 4, nil)
+	regSerial, regPooled := obs.NewRegistry(), obs.NewRegistry()
+	serial, mtSerial := runSPR42SC(t, 1, regSerial)
+	pooled, mtPooled := runSPR42SC(t, 4, regPooled)
 
 	if math.Abs(serial.LogL-pooled.LogL) > 1e-9*math.Max(1, math.Abs(serial.LogL)) {
 		t.Errorf("pooled logL %.12f != serial %.12f", pooled.LogL, serial.LogL)
@@ -135,32 +134,33 @@ func TestParallelSPRCrossValidation42SC(t *testing.T) {
 	if mtPooled.SharedHits == 0 {
 		t.Error("pooled run recorded no shared-store hits")
 	}
-}
 
-// TestParallelSharedCacheRedundancy42SC quantifies what the shared store
-// removes: the same pooled search with NoSharedCache (private per-worker
-// view tables, the pre-shared-store behaviour) must do strictly more
-// newview work, and the opt-out must still reach the identical result.
-func TestParallelSharedCacheRedundancy42SC(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full SPR search on 42 taxa, twice")
+	snapSerial, snapPooled := regSerial.Snapshot(), regPooled.Snapshot()
+	candSerial, okS := snapSerial.CounterValue("search.candidates_scored")
+	candPooled, okP := snapPooled.CounterValue("search.candidates_scored")
+	if !okS || !okP || candSerial == 0 {
+		t.Fatalf("search.candidates_scored missing or zero: serial %d (%v), pooled %d (%v)",
+			candSerial, okS, candPooled, okP)
 	}
-	withShared, mtShared := runSPR42SCOpts(t, Options{Workers: 4})
-	without, mtPrivate := runSPR42SCOpts(t, Options{Workers: 4, NoSharedCache: true})
-
-	if math.Abs(withShared.LogL-without.LogL) > 1e-9*math.Max(1, math.Abs(without.LogL)) {
-		t.Errorf("shared-store logL %.12f != private-views logL %.12f", withShared.LogL, without.LogL)
+	if candSerial != candPooled {
+		t.Errorf("search.candidates_scored: serial %d, pooled %d", candSerial, candPooled)
 	}
-	if withShared.Moves != without.Moves || withShared.Rounds != without.Rounds {
-		t.Errorf("search path diverged: shared %d moves/%d rounds, private %d moves/%d rounds",
-			withShared.Moves, withShared.Rounds, without.Moves, without.Rounds)
-	}
-	if mtShared.NewviewCalls >= mtPrivate.NewviewCalls {
-		t.Errorf("shared store did not reduce newview work: %d with vs %d without",
-			mtShared.NewviewCalls, mtPrivate.NewviewCalls)
-	}
-	if mtPrivate.SharedHits != 0 {
-		t.Errorf("NoSharedCache run metered %d shared hits", mtPrivate.SharedHits)
+	for run, snap := range map[string]obs.Snapshot{"serial": snapSerial, "pooled": snapPooled} {
+		var names []string
+		for _, c := range snap.Counters {
+			names = append(names, c.Name)
+		}
+		for _, g := range snap.Gauges {
+			names = append(names, g.Name)
+		}
+		for _, h := range snap.Histograms {
+			names = append(names, h.Name)
+		}
+		for _, name := range names {
+			if strings.HasPrefix(name, "cache.") && name != "cache.shared_hits" && name != "cache.epoch" {
+				t.Errorf("%s run published unexpected cache series %s", run, name)
+			}
+		}
 	}
 }
 
@@ -236,9 +236,7 @@ func TestParallelSharedCacheStressSPRCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.AttachTree(tr)
-	// Memo off: every pooled score below is compared bitwise against a
-	// fresh serial recompute, which memo replay (an estimate) would break.
-	sc := newSearchCtx(eng, Options{Workers: 4, NoTopoMemo: true})
+	sc := newSearchCtx(eng, Options{Workers: 4})
 	defer sc.close(eng)
 	if sc.shared == nil {
 		t.Fatal("pooled searchCtx did not install the shared store")
@@ -260,7 +258,7 @@ func TestParallelSharedCacheStressSPRCycles(t *testing.T) {
 		sc.cands = phylotree.RadiusEdgesInto(sc.cands[:0], ps.Q, 3)
 		sc.cands = phylotree.RadiusEdgesInto(sc.cands, ps.R, 3)
 
-		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub, math.Inf(1))
+		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub)
 		if err != nil {
 			t.Fatal(err)
 		}

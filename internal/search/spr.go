@@ -37,44 +37,22 @@ type Options struct {
 	// Workers > 1 enables task-level parallelism inside this search: the
 	// SPR/NNI insertion candidates of each pruned subtree are scored
 	// concurrently on a pool of Workers kernel contexts, and traversal
-	// descriptors execute wavefront-parallel on the same pool. The chosen
-	// moves, final topology and log-likelihood are identical to the serial
+	// descriptors execute wavefront-parallel on the same pool, all workers
+	// reading ancestral vectors through one epoch-tagged shared store
+	// (likelihood.SharedCache) so no worker redoes another's shared-path
+	// newview work. The chosen moves, final topology and log-likelihood are identical to the serial
 	// search (up to documented FP summation order, see DESIGN.md
 	// "Parallelism layers"); <= 1 runs fully serial. Orthogonal to
 	// likelihood.Config.Threads, which splits the per-pattern loops
 	// *inside* one kernel call — total concurrency ≈ Workers × Threads.
 	Workers int
 
-	// NoSharedCache disables the epoch-tagged shared ancestral-vector
-	// store a pooled search (Workers > 1) installs by default, reverting
-	// to private per-worker view tables rebuilt per prune. Results are
-	// identical either way; the private tables redo the shared-path
-	// newview work once per worker, so this knob exists for redundancy
-	// accounting (benchmarks and the scaling-gate tests), not for users.
-	NoSharedCache bool
-
-	// NoTopoMemo disables the content-addressed topology score memo that
-	// searches run with by default: each SPR/NNI candidate's would-be
-	// topology is hashed incrementally from the prune/regraft edit, and
-	// topologies already measured this search replay their memoized score
-	// instead of re-running the likelihood evaluation. Replay is restricted
-	// to scores two measurements confirmed stable, and to candidates that
-	// lose to the acceptance threshold by a safety margin, so the accepted
-	// moves, round count and final topology are identical to the memo-off
-	// search (the memo only deletes repeated work; see DESIGN.md "Topology
-	// memoization"). Hits/misses/evictions surface as cache.topo_* metrics.
-	NoTopoMemo bool
-
-	// TopoMemoCap bounds the memo's entry count (0 = DefaultTopoMemoCap).
-	// Eviction is FIFO and deterministic.
-	TopoMemoCap int
-
 	// Metrics, when non-nil, receives the live search series: the
 	// search.candidates_scored / search.parallel_rounds counters, the
 	// search.pool_workers / search.pool_busy / search.pool_busy_peak
-	// occupancy gauges, the search.round_ms latency histogram, and — with
-	// the shared vector store on — the cache.shared_hits counter and
-	// cache.epoch gauge.
+	// occupancy gauges, the search.round_ms latency histogram, and — for
+	// pooled searches — the shared vector store's cache.shared_hits counter
+	// and cache.epoch gauge.
 	Metrics *obs.Registry
 
 	// Trace is the wall-clock span context this search records into
@@ -152,8 +130,7 @@ func sprRound(eng *likelihood.Engine, tr *phylotree.Tree, sc *searchCtx, radius 
 
 		// Lazy SPR: score every candidate from cached directed vectors of
 		// the (fixed) pruned tree, optimizing only the subtree's branch.
-		// current+eps is the acceptance threshold the memo probes against.
-		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub, current+eps)
+		scores, err := sc.scoreInsertions(eng, sc.cands, ps, zSub)
 		if err != nil {
 			stage, stageErr = "trial insertion", err
 			break
