@@ -50,11 +50,14 @@ scaling-gate:
 
 # backend-gate is the local mirror of the CI compute-backend gate: every
 # registered likelihood backend must reproduce the scalar reference on the
-# 42_SC search (same accepted moves, logL within 1e-9), the per-kernel
-# equivalence suite must pass under the race detector, and a short fuzz
-# session hunts for alignment shapes where a backend diverges.
+# 42_SC search (same accepted moves, logL within 1e-9), the default
+# configuration must reproduce the scalar full-recompute reference
+# inference bit for bit, the per-kernel equivalence suite must pass under
+# the race detector, and a short fuzz session hunts for alignment shapes
+# where a backend diverges.
 backend-gate:
 	$(GO) test -count=1 -run 'TestBackendCrossValidation42SC' ./internal/search
+	$(GO) test -count=1 -run 'TestInferOnceIncrementalMatches' ./internal/core
 	$(GO) test -race -count=1 -run 'TestBackend|FuzzBackendEquivalence' ./internal/likelihood
 	$(GO) test -run=NONE -fuzz=FuzzBackendEquivalence -fuzztime=$(FUZZTIME) ./internal/likelihood
 

@@ -11,6 +11,7 @@ import (
 	"raxmlcell/internal/cell"
 	"raxmlcell/internal/cellrt"
 	"raxmlcell/internal/likelihood"
+	"raxmlcell/internal/model"
 	"raxmlcell/internal/parsimony"
 	"raxmlcell/internal/platform"
 	"raxmlcell/internal/search"
@@ -80,33 +81,63 @@ func BenchmarkFigure3Platforms(b *testing.B) {
 	b.ReportMetric(last.Xeon, "xeon-128bs-s")
 }
 
+// profileSplitSearch runs the small real search behind BenchmarkProfileSplit
+// (12 taxa x 400 sites, parsimony start, radius 3, 2 rounds) under the
+// paper's full-recomputation metering and returns its Meter.
+func profileSplitSearch(tb testing.TB, pat *alignment.Patterns, m *model.Model) likelihood.Meter {
+	start, err := parsimony.BuildStepwise(pat, rand.New(rand.NewSource(2)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{FullRecompute: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := search.Run(eng, start, search.Options{Radius: 3, MaxRounds: 2, SmoothPasses: 2, Epsilon: 0.05, AlphaOpt: true}); err != nil {
+		tb.Fatal(err)
+	}
+	return eng.Meter
+}
+
+// profileSplitInput is the simulated alignment of profileSplitSearch.
+func profileSplitInput(tb testing.TB) (*alignment.Patterns, *model.Model) {
+	m := seqsim.DefaultModel()
+	a, _, err := seqsim.Generate(seqsim.Params{Taxa: 12, Sites: 400, MeanBranch: 0.1, Alpha: 0.8}, m, rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return alignment.Compress(a), m
+}
+
+// TestProfileSplitPaperMeter pins the full-recomputation Meter of the
+// BenchmarkProfileSplit search. These are the counts the paper-metering
+// mode fed the Cell tables before the engine's vector store became the
+// default path; any drift means FullRecompute no longer reproduces the
+// paper's workload shape.
+func TestProfileSplitPaperMeter(t *testing.T) {
+	pat, m := profileSplitInput(t)
+	got := profileSplitSearch(t, pat, m)
+	want := likelihood.Meter{NewviewCalls: 3011, MakenewzCalls: 573, EvaluateCalls: 34, NewtonIters: 3784,
+		Muls: 128654484, Adds: 90974040, Exps: 166608}
+	type key struct{ newview, makenewz, evaluate, newton, muls, adds, exps, cacheHits, sharedHits uint64 }
+	pick := func(mt likelihood.Meter) key {
+		return key{mt.NewviewCalls, mt.MakenewzCalls, mt.EvaluateCalls, mt.NewtonIters,
+			mt.Muls, mt.Adds, mt.Exps, mt.CacheHits, mt.SharedHits}
+	}
+	if pick(got) != pick(want) {
+		t.Errorf("paper-metering meter drifted:\n got  %+v\n want %+v", pick(got), pick(want))
+	}
+}
+
 // BenchmarkProfileSplit runs a real Go tree search and reports the
 // §5.2 profile split (share of kernel operations in the three offloaded
-// functions) computed from the live meter.
+// functions) computed from the live full-recomputation meter.
 func BenchmarkProfileSplit(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := seqsim.DefaultModel()
-	a, _, err := seqsim.Generate(seqsim.Params{Taxa: 12, Sites: 400, MeanBranch: 0.1, Alpha: 0.8}, m, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pat := alignment.Compress(a)
+	pat, m := profileSplitInput(b)
 	var meter likelihood.Meter
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(2))
-		start, err := parsimony.BuildStepwise(pat, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := search.Run(eng, start, search.Options{Radius: 3, MaxRounds: 2, SmoothPasses: 2, Epsilon: 0.05, AlphaOpt: true}); err != nil {
-			b.Fatal(err)
-		}
-		meter = eng.Meter
+		meter = profileSplitSearch(b, pat, m)
 	}
 	b.StopTimer()
 	total := float64(meter.NewviewCalls + meter.MakenewzCalls + meter.EvaluateCalls)
@@ -250,7 +281,7 @@ func BenchmarkAblationBranch(b *testing.B) {
 	pat := alignment.Compress(a)
 	for _, cfgName := range []string{"scalar-cond", "int-cond"} {
 		b.Run(cfgName, func(b *testing.B) {
-			kc := likelihood.Config{IntCond: cfgName == "int-cond"}
+			kc := likelihood.Config{IntCond: cfgName == "int-cond", FullRecompute: true}
 			eng, err := likelihood.NewEngine(pat, m, kc)
 			if err != nil {
 				b.Fatal(err)
@@ -283,7 +314,7 @@ func BenchmarkAblationTipCases(b *testing.B) {
 		b.Fatal(err)
 	}
 	pat := alignment.Compress(a)
-	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
+	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{FullRecompute: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -311,7 +342,7 @@ func BenchmarkNewview42SC(b *testing.B) {
 		b.Fatal(err)
 	}
 	pat := alignment.Compress(a)
-	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
+	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{FullRecompute: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -336,7 +367,7 @@ func BenchmarkMakenewz42SC(b *testing.B) {
 		b.Fatal(err)
 	}
 	pat := alignment.Compress(a)
-	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
+	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{FullRecompute: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -363,7 +394,7 @@ func BenchmarkEvaluate42SC(b *testing.B) {
 		b.Fatal(err)
 	}
 	pat := alignment.Compress(a)
-	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{})
+	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{FullRecompute: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -384,11 +415,12 @@ func BenchmarkEvaluate42SC(b *testing.B) {
 }
 
 // benchSmooth42SC measures a branch-smoothing sweep over the 42_SC
-// stand-in tree, the hot loop of the search, with and without incremental
-// partial-vector caching. combines/op is the number of newview executions a
+// stand-in tree, the hot loop of the search, with the engine's vector store
+// keeping vectors across calls (cached) or under full recomputation (the
+// paper's metering). combines/op is the number of newview executions a
 // sweep actually performs; cachehits/op counts the traversal-descriptor
 // stops at valid cached vectors.
-func benchSmooth42SC(b *testing.B, incremental bool, backend string) {
+func benchSmooth42SC(b *testing.B, cached bool, backend string) {
 	rng := rand.New(rand.NewSource(61))
 	m := seqsim.DefaultModel()
 	a, _, err := seqsim.Generate(seqsim.Params42SC(), m, rng)
@@ -400,7 +432,7 @@ func benchSmooth42SC(b *testing.B, incremental bool, backend string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{Incremental: incremental, Backend: backend})
+	eng, err := likelihood.NewEngine(pat, m, likelihood.Config{FullRecompute: !cached, Backend: backend})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -421,8 +453,8 @@ func BenchmarkSmoothCached42SC(b *testing.B)  { benchSmooth42SC(b, true, "scalar
 
 // benchSearch42SC runs a whole small hill-climbing search per iteration
 // (fresh tree and engine each time) and reports the end-to-end newview-call
-// count under full recomputation vs incremental caching.
-func benchSearch42SC(b *testing.B, incremental bool, backend string) {
+// count under full recomputation vs the cached default.
+func benchSearch42SC(b *testing.B, cached bool, backend string) {
 	rng := rand.New(rand.NewSource(62))
 	m := seqsim.DefaultModel()
 	a, _, err := seqsim.Generate(seqsim.Params42SC(), m, rng)
@@ -437,7 +469,7 @@ func benchSearch42SC(b *testing.B, incremental bool, backend string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng, err := likelihood.NewEngine(pat, m, likelihood.Config{Incremental: incremental, Backend: backend})
+		eng, err := likelihood.NewEngine(pat, m, likelihood.Config{FullRecompute: !cached, Backend: backend})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -510,7 +542,7 @@ func BenchmarkParallelEvaluate(b *testing.B) {
 	pat := alignment.Compress(a)
 	for _, threads := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads-%d", threads), func(b *testing.B) {
-			eng, err := likelihood.NewEngine(pat, m, likelihood.Config{Threads: threads})
+			eng, err := likelihood.NewEngine(pat, m, likelihood.Config{Threads: threads, FullRecompute: true})
 			if err != nil {
 				b.Fatal(err)
 			}

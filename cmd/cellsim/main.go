@@ -87,6 +87,9 @@ func main() {
 		fmt.Printf("tracing a real search over %d taxa x %d patterns...\n", pat.NumTaxa, pat.NumPatterns())
 		cfg := core.DefaultConfig()
 		cfg.Search = search.Options{Radius: 3, MaxRounds: 3, SmoothPasses: 3, Epsilon: 0.01, AlphaOpt: true}
+		// The simulator replays the paper's workload shape: full
+		// recomputation, as RAxML was profiled.
+		cfg.Kernel.FullRecompute = true
 		_, meter, err := core.InferOnce(pat, cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -99,7 +99,6 @@ func main() {
 		seed       = flag.Int64("seed", 42, "master random seed")
 		workers    = flag.Int("workers", 4, "parallel workers (the MPI process count)")
 		searchWk   = flag.Int("search-workers", 1, "concurrent SPR-candidate scoring / wavefront traversal workers inside each search (1 = serial, 0 = auto-size from GOMAXPROCS; see README for the -workers x -search-workers x -threads oversubscription guidance)")
-		backend    = flag.String("backend", likelihood.DefaultBackend, "likelihood compute backend: "+strings.Join(likelihood.Backends(), ", "))
 		threads    = flag.Int("threads", 1, "goroutines splitting the per-pattern loops inside each likelihood kernel call (the RAxML-OMP loop-level axis)")
 		radius     = flag.Int("radius", 5, "SPR rearrangement radius")
 		rounds     = flag.Int("rounds", 10, "maximum SPR rounds per search")
@@ -107,7 +106,6 @@ func main() {
 		cats       = flag.Int("cats", 4, "Gamma rate categories")
 		sdkExp     = flag.Bool("sdk-exp", false, "use the SDK-style fast exp kernel")
 		intCond    = flag.Bool("int-cond", false, "use the integer-cast scaling conditional")
-		incr       = flag.Bool("incremental", false, "cache partial likelihood vectors incrementally (dirty-flag traversal descriptors); same results, fewer newview calls, but not the paper's measured instruction mix")
 		catCats    = flag.Int("cat", 0, "after the search, re-fit the tree under a CAT model with this many per-site rate categories (0 = off; RAxML default 25)")
 		optModel   = flag.Bool("opt-model", false, "fit the GTR exchangeabilities on each final tree")
 		startTree  = flag.String("start", "parsimony", "starting tree: parsimony, nj or random")
@@ -209,7 +207,7 @@ func main() {
 					"logl", pr.LogL, "alpha", pr.Alpha)
 			},
 		},
-		Kernel:  likelihood.Config{SDKExp: *sdkExp, IntCond: *intCond, Incremental: *incr, Threads: *threads, Backend: *backend},
+		Kernel:  likelihood.Config{SDKExp: *sdkExp, IntCond: *intCond, Threads: *threads},
 		Log:     logger,
 		Metrics: metrics,
 		Trace:   tracer.Root("campaign"),

@@ -39,6 +39,9 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Seed = 11
 	cfg.Search = search.Options{Radius: 4, MaxRounds: 4, SmoothPasses: 3, Epsilon: 0.02, AlphaOpt: true}
+	// Meter the paper's full recomputation, the workload shape the
+	// simulated Cell stages below were measured on.
+	cfg.Kernel.FullRecompute = true
 	res, meter, err := core.InferOnce(patterns, cfg)
 	if err != nil {
 		log.Fatal(err)

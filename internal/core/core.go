@@ -74,11 +74,11 @@ type Config struct {
 	Search search.Options
 
 	// Kernel selects the likelihood-kernel variants for every worker
-	// engine. Kernel.Incremental enables x-vector partial-likelihood
-	// caching: identical trees and log-likelihoods, far fewer newview
-	// executions — and therefore a different Meter than the paper's
-	// measured full-recomputation workload, so leave it off when feeding
-	// the aggregate meter to the Cell simulation tables.
+	// engine. The zero value is the fast path: the batched backend with
+	// the engine's ancestral-vector store keeping vectors across calls.
+	// Kernel.FullRecompute switches to the paper's metering — identical
+	// trees and log-likelihoods, every traversal recomputed — which is the
+	// Meter to feed the Cell simulation tables.
 	Kernel likelihood.Config
 
 	// Log receives structured campaign progress (phases, supervision

@@ -48,11 +48,14 @@ func TestFortyTwoSCAnalysis(t *testing.T) {
 	if mean := phylotree.MeanSupport(res.Support); mean < 0.4 {
 		t.Errorf("mean support %.2f suspiciously low", mean)
 	}
-	if res.Meter.NewviewCalls < 100000 {
-		t.Errorf("aggregate newview calls = %d; expected a substantial search", res.Meter.NewviewCalls)
+	// Branch optimizations, unlike newview calls, do not depend on how
+	// many vectors the engine's store reuses.
+	if res.Meter.MakenewzCalls < 10000 {
+		t.Errorf("aggregate makenewz calls = %d; expected a substantial search", res.Meter.MakenewzCalls)
 	}
-	t.Logf("42_SC analysis: best logL %.2f, mean support %.2f, %d consensus clades, %d newview calls",
-		res.BestLogL, phylotree.MeanSupport(res.Support), res.Consensus.CountClades(), res.Meter.NewviewCalls)
+	t.Logf("42_SC analysis: best logL %.2f, mean support %.2f, %d consensus clades, %d makenewz / %d newview calls",
+		res.BestLogL, phylotree.MeanSupport(res.Support), res.Consensus.CountClades(),
+		res.Meter.MakenewzCalls, res.Meter.NewviewCalls)
 }
 
 // TestFortyTwoSCIntegration runs the full pipeline on the committed 42_SC

@@ -82,6 +82,11 @@ func TestAnalyzeLiveMetrics(t *testing.T) {
 	if v, _ := snap.CounterValue("kernel.newview_calls"); v != a.Meter.NewviewCalls {
 		t.Errorf("kernel.newview_calls = %d, Analysis.Meter says %d", v, a.Meter.NewviewCalls)
 	}
+	// Every search of the campaign adds its vector-store hits to the one
+	// counter, so it totals the merged meter.
+	if v, _ := snap.CounterValue("cache.shared_hits"); v != a.Meter.SharedHits || v == 0 {
+		t.Errorf("cache.shared_hits = %d, Analysis.Meter says %d", v, a.Meter.SharedHits)
+	}
 	// The gauge tracks the best over all jobs (bootstraps included), so it
 	// is at least the best inference the analysis reports.
 	if v, ok := snap.GaugeValue("mw.best_logl"); !ok || v < a.BestLogL || v >= 0 {

@@ -13,8 +13,8 @@ import (
 // swapped in without touching search code.
 //
 // Everything outside the contract is backend-independent and stays in
-// Ctx/Engine: traversal descriptors and incremental invalidation, wavefront
-// scheduling, Views memoization, transition-matrix and tip-projection table
+// Ctx/Engine: traversal descriptors, the ancestral-vector store and its
+// invalidation, wavefront scheduling, transition-matrix and tip-projection table
 // construction, the Newton solver driver, numerical scaling policy, and the
 // Config.Threads pattern-range fan-out. A backend only answers "given these
 // operands, compute patterns [lo, hi)" — which is exactly the seam BEAGLE
@@ -129,8 +129,9 @@ type newtonPart struct {
 }
 
 // DefaultBackend is the backend used when Config.Backend is empty: the
-// scalar reference kernels, bit-identical to the pre-backend engine.
-const DefaultBackend = "scalar"
+// cache-blocked batched kernels. "scalar", the reference loops every
+// backend is verified against, stays registered for the equivalence gates.
+const DefaultBackend = "batched"
 
 // backendRegistry maps names to constructors. Backends register at init
 // time; the map is read-only afterwards, so engines may resolve

@@ -62,7 +62,7 @@ func TestBackendsMatchScalarGamma(t *testing.T) {
 			m := randomModel(t, rng, 4)
 			tr := randomTreeFor(t, rng, pat)
 
-			ref, err := NewEngine(pat, m, Config{})
+			ref, err := NewEngine(pat, m, Config{Backend: "scalar"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,17 +75,9 @@ func TestBackendsMatchScalarGamma(t *testing.T) {
 			p := tr.Tips[0].Back
 			ref.NewView(p)
 			alt.NewView(p)
-			idx := p.Index
-			for i := range ref.lv[idx] {
-				if ref.lv[idx][i] != alt.lv[idx][i] {
-					t.Fatalf("partial vector diverges at %d: %g vs %g", i, ref.lv[idx][i], alt.lv[idx][i])
-				}
-			}
-			for i := range ref.scale[idx] {
-				if ref.scale[idx][i] != alt.scale[idx][i] {
-					t.Fatalf("scale counter diverges at pattern %d: %d vs %d", i, ref.scale[idx][i], alt.scale[idx][i])
-				}
-			}
+			refLv, refSc := stored(ref, p)
+			altLv, altSc := stored(alt, p)
+			assertVectorsEqual(t, "partial vector", altLv, refLv, altSc, refSc)
 
 			// Log-likelihood bit-identical.
 			llR, err := ref.Evaluate(tr.Tips[0])
@@ -178,7 +170,7 @@ func TestBackendsMatchScalarCAT(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := NewEngine(pat, cat, Config{})
+			ref, err := NewEngine(pat, cat, Config{Backend: "scalar"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +217,7 @@ func TestBackendThreadsBitIdentical(t *testing.T) {
 	m := randomModel(t, rng, 4)
 	tr := randomTreeFor(t, rng, pat)
 
-	ref, err := NewEngine(pat, m, Config{})
+	ref, err := NewEngine(pat, m, Config{Backend: "scalar"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +231,9 @@ func TestBackendThreadsBitIdentical(t *testing.T) {
 	p := tr.Tips[0].Back
 	ref.NewView(p)
 	par.NewView(p)
-	for i := range ref.lv[p.Index] {
-		if ref.lv[p.Index][i] != par.lv[p.Index][i] {
-			t.Fatalf("threaded batched vector diverges at %d", i)
-		}
-	}
+	refLv, refSc := stored(ref, p)
+	parLv, parSc := stored(par, p)
+	assertVectorsEqual(t, "threaded batched vector", parLv, refLv, parSc, refSc)
 	llR, err := ref.Evaluate(tr.Tips[0])
 	if err != nil {
 		t.Fatal(err)
@@ -259,15 +249,16 @@ func TestBackendThreadsBitIdentical(t *testing.T) {
 
 // TestBackendUnderPool exercises the batched backend beneath the
 // task-level pool: wavefront NewView execution and concurrent
-// InsertionScore-style Views on worker contexts. Run under -race this is
-// the PR-5-pool race gate for the new backend.
+// InsertionScore-style Views on worker contexts, against scalar scores
+// recomputed cold under FullRecompute. Run under -race this is the
+// pool race gate for the batched backend.
 func TestBackendUnderPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(605))
 	pat := randomPatterns(t, rng, 16, 250)
 	m := randomModel(t, rng, 4)
 	tr := randomTreeFor(t, rng, pat)
 
-	ref, err := NewEngine(pat, m, Config{})
+	ref, err := NewEngine(pat, m, Config{Backend: "scalar", FullRecompute: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,6 +266,7 @@ func TestBackendUnderPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.AttachTree(tr)
 	pool := eng.NewPool(4)
 	eng.UsePool(pool)
 	defer eng.UsePool(nil)
@@ -283,11 +275,9 @@ func TestBackendUnderPool(t *testing.T) {
 	p := tr.Tips[0].Back
 	ref.NewView(p)
 	eng.NewView(p)
-	for i := range ref.lv[p.Index] {
-		if ref.lv[p.Index][i] != eng.lv[p.Index][i] {
-			t.Fatalf("wavefront batched vector diverges at %d", i)
-		}
-	}
+	refLv, refSc := stored(ref, p)
+	engLv, engSc := stored(eng, p)
+	assertVectorsEqual(t, "wavefront batched vector", engLv, refLv, engSc, refSc)
 
 	// Concurrent per-worker Views scoring (the SPR fan-out shape).
 	var sub *phylotree.Node
@@ -309,7 +299,8 @@ func TestBackendUnderPool(t *testing.T) {
 		cands = cands[:8]
 	}
 	type res struct{ z, ll float64 }
-	refViews := ref.NewViews()
+	refViews := ref.Views()
+	ref.BeginBatch()
 	want := make([]res, len(cands))
 	for i, cand := range cands {
 		if cand.Back == nil {
@@ -321,12 +312,11 @@ func TestBackendUnderPool(t *testing.T) {
 		}
 		want[i] = res{z, ll}
 	}
-	refViews.Release()
 
 	got := make([]res, len(cands))
 	views := make([]*Views, pool.Workers())
 	for w := range views {
-		views[w] = pool.Ctx(w).NewViews()
+		views[w] = pool.Ctx(w).Views()
 	}
 	pool.Run(len(cands), func(w, i int) {
 		cand := cands[i]
@@ -339,9 +329,6 @@ func TestBackendUnderPool(t *testing.T) {
 		}
 		got[i] = res{z, ll}
 	})
-	for w := range views {
-		views[w].Release()
-	}
 	for i := range want {
 		if math.Abs(want[i].ll-got[i].ll) > 1e-9*(1+math.Abs(want[i].ll)) ||
 			math.Abs(want[i].z-got[i].z) > 1e-9*(1+want[i].z) {
@@ -391,7 +378,7 @@ func FuzzBackendEquivalence(f *testing.F) {
 		}
 		tr := randomTreeFor(t, rng, pat)
 
-		ref, err := NewEngine(pat, m, Config{})
+		ref, err := NewEngine(pat, m, Config{Backend: "scalar"})
 		if err != nil {
 			t.Skip(err)
 		}
@@ -399,7 +386,8 @@ func FuzzBackendEquivalence(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		idx := tr.Tips[0].Back.Index
+		rec := tr.Tips[0].Back
+		refLv, _ := stored(ref, rec)
 		for _, name := range Backends() {
 			if name == "scalar" {
 				continue
@@ -416,8 +404,9 @@ func FuzzBackendEquivalence(f *testing.F) {
 				t.Fatalf("%s logL %.15g != scalar %.15g (taxa=%d sites=%d cats=%d cat=%v)",
 					name, llA, llR, nt, nsites, nc, useCAT)
 			}
-			for i := range ref.lv[idx] {
-				if ref.lv[idx][i] != alt.lv[idx][i] {
+			altLv, _ := stored(alt, rec)
+			for i := range refLv {
+				if refLv[i] != altLv[i] {
 					t.Fatalf("%s partial vector diverges at %d (taxa=%d sites=%d cats=%d cat=%v)",
 						name, i, nt, nsites, nc, useCAT)
 				}

@@ -8,8 +8,9 @@ import (
 
 // Ctx is one kernel execution context: all the per-call scratch the hot
 // kernels need (transition-matrix panels, tip-projection tables, Newton sum
-// tables and exponential blocks, traversal descriptors, Views buffer pools)
-// plus the meter/underflow sinks the kernels accumulate into.
+// tables and exponential blocks, traversal descriptors, the lazy-SPR
+// virtual-node vector) plus the meter/underflow sinks the kernels
+// accumulate into.
 //
 // The engine owns a primary context whose sinks are Engine.Meter and the
 // engine's underflow counter, so the public Engine API behaves exactly as
@@ -19,8 +20,9 @@ import (
 // deterministically after every fan-out. Two goroutines may run kernels
 // concurrently iff each owns its own Ctx: the engine state they share
 // (patterns, model, tip vectors, exp function) is read-only, and the
-// shared per-node lv/scale/orient tables are only touched by the wavefront
-// executor, which guarantees disjoint writes within a dependency level.
+// ancestral-vector store is written either under its per-slot
+// single-flight latch (Views) or by the wavefront executor, which
+// guarantees disjoint writes within a dependency level.
 type Ctx struct {
 	eng *Engine
 
@@ -48,9 +50,10 @@ type Ctx struct {
 
 	trav []*phylotree.Node // traversal-descriptor scratch
 
-	// Buffer pools for Views (lazy-SPR directed-vector caches).
-	lvPool [][]float64
-	scPool [][]int32
+	// xLv/xSc hold the virtual node Views.InsertionScore forms over a
+	// candidate branch; allocated on first use.
+	xLv []float64
+	xSc []int32
 
 	// Backend operand blocks, stored on the context so passing their
 	// address through the Backend interface never escapes into a per-call
@@ -195,14 +198,13 @@ func (c *Ctx) NewView(p *phylotree.Node) {
 }
 
 // appendTraversal builds the traversal descriptor rooted at p: the
-// postorder (children before parents) list of ring records whose views are
-// missing or cached under a different orientation.
+// postorder (children before parents) list of ring records whose stored
+// views are not current.
 func (c *Ctx) appendTraversal(steps []*phylotree.Node, p *phylotree.Node) []*phylotree.Node {
 	if p.IsTip() {
 		return steps
 	}
-	e := c.eng
-	if e.orient != nil && e.orient[p.Index] == p {
+	if c.eng.shared.current(p) {
 		c.meter.CacheHits++
 		return steps
 	}
@@ -212,27 +214,13 @@ func (c *Ctx) appendTraversal(steps []*phylotree.Node, p *phylotree.Node) []*phy
 }
 
 // computeView executes one descriptor entry: combine the two child vectors
-// of ring record p into p's slot and record the orientation. The wavefront
+// of ring record p into p's store slot and publish it. The wavefront
 // executor calls this concurrently from several contexts, which is safe
-// because entries of one dependency level write disjoint node slots and
-// only read slots finished in earlier levels.
+// because entries of one dependency level write disjoint slots and only
+// read slots finished in earlier levels.
 func (c *Ctx) computeView(p *phylotree.Node) {
-	e := c.eng
-	q := p.Next.Back
-	r := p.Next.Next.Back
-	var qLv, rLv []float64
-	var qScale, rScale []int32
-	if !q.IsTip() {
-		qLv, qScale = e.lv[q.Index], e.scale[q.Index]
-	}
-	if !r.IsTip() {
-		rLv, rScale = e.lv[r.Index], e.scale[r.Index]
-	}
-	c.combine(q, p.Next.Z, qLv, qScale, r, p.Next.Next.Z, rLv, rScale,
-		e.lv[p.Index], e.scale[p.Index])
-	if e.orient != nil {
-		e.orient[p.Index] = p
-	}
+	s := c.eng.shared
+	s.compute(c, p, s.entry(p))
 }
 
 // evaluate computes the log-likelihood of the tree across the branch
@@ -270,17 +258,12 @@ func (c *Ctx) evaluateKernel(p *phylotree.Node, perSite []float64) (float64, err
 
 	c.transitionMatrices(p.Z, c.pLeft)
 
-	pLv := e.lv[p.Index]
-	pScale := e.scale[p.Index]
+	pLv, pScale := e.shared.view(p)
+	qLv, qScale := e.shared.view(q)
 	var qData []byte
-	var qLv []float64
-	var qScale []int32
 	if q.IsTip() {
 		qData = e.Pat.Data[q.Index]
 		c.tipProjection(c.pLeft, c.tipPR)
-	} else {
-		qLv = e.lv[q.Index]
-		qScale = e.scale[q.Index]
 	}
 
 	c.evalOp = evalOp{pLv: pLv, pScale: pScale, qData: qData, qLv: qLv, qScale: qScale, perSite: perSite}

@@ -31,17 +31,15 @@ type Config struct {
 	IntCond  bool // Section 5.2.3: integer-cast, vectorized scaling conditional
 	VectorFP bool // Section 5.2.5: SIMD packing of the two FP loops (metering)
 
-	// Incremental enables RAxML's x-vector partial-likelihood caching:
-	// every internal node remembers which of its three ring orientations
-	// its stored vector belongs to, NewView recomputes only the invalid
-	// nodes of a traversal descriptor, and branch-length or topology
-	// changes mark the minimal dirty set via Invalidate/InvalidateAll.
-	// Results are bit-identical to full recomputation; only the number of
-	// newview (combine) executions — and thus the metered instruction mix
-	// — changes. Leave it off to reproduce the paper's original workload
-	// shape (every evaluation recomputes the whole tree, as RAxML's
-	// profile on the Cell was measured).
-	Incremental bool
+	// FullRecompute reproduces the paper's metering: every Engine entry
+	// point (NewView, Evaluate, PerSiteLogL, MakeNewz) recomputes the whole
+	// traversal it needs, and every lazy-SPR candidate batch (BeginBatch)
+	// rebuilds its directed vectors from scratch — the workload shape
+	// RAxML's profile on the Cell was measured on, and the one the Cell
+	// simulator replays. Results are bit-identical to the default cached
+	// mode; only the number of newview (combine) executions, and thus the
+	// metered instruction mix, changes. Leave it off for real analyses.
+	FullRecompute bool
 
 	// Threads > 1 parallelizes the per-pattern kernel loops over a
 	// goroutine pool — the shared-memory loop-level parallelism of
@@ -54,10 +52,10 @@ type Config struct {
 	Threads int
 
 	// Backend selects the compute backend the kernels' per-pattern inner
-	// loops run on: "scalar" (the reference loops, the default) or
-	// "batched" (pattern-major cache-blocked tiles with fused
+	// loops run on: "batched" (pattern-major cache-blocked tiles with fused
 	// transition×partial loops — the Go analogue of the paper's SPU
-	// vectorization). See RegisterBackend/Backends; every registered
+	// vectorization; the default) or "scalar" (the reference loops every
+	// other backend is verified against). See RegisterBackend/Backends; every registered
 	// backend must agree with scalar to ≤1e-9 logL. Empty means
 	// DefaultBackend.
 	Backend string
@@ -83,14 +81,15 @@ func (cfg Config) BackendName() string {
 }
 
 // Engine computes likelihoods of trees over one compressed alignment and one
-// substitution model. It owns the partial likelihood vectors for every node
-// index and a Meter of kernel operations.
+// substitution model. It owns one ancestral-vector store (SharedCache)
+// holding the directed partial likelihood vectors of the tree it serves,
+// and a Meter of kernel operations.
 //
-// By default the engine recomputes partial vectors on demand with a full
-// per-call traversal, exactly like the code the paper profiled. With
-// Config.Incremental it instead keeps a per-node validity/orientation flag
-// (RAxML's "x-vector") and recomputes only the dirty nodes of a traversal
-// descriptor; see NewView, Invalidate and AttachTree.
+// By default the engine keeps vectors across calls and recomputes only the
+// stale part of each traversal descriptor — RAxML's x-vector scheme; tree
+// edits reach the store through Invalidate and AttachTree. With
+// Config.FullRecompute every entry point recomputes its whole traversal,
+// exactly like the code the paper profiled.
 //
 // All per-call kernel scratch lives in a Ctx. The engine owns a primary
 // context that backs every Engine method, so single-threaded use is
@@ -104,19 +103,14 @@ type Engine struct {
 	npat, ncat int // ncat is the per-site storage width (1 under CAT)
 	nmat       int // distinct rate categories = transition matrices
 	patCat     []int
-	invCats    float64     // per-site averaging weight (1 under CAT)
-	lv         [][]float64 // [nodeIndex][pat*ncat*ns + cat*ns + state]
-	scale      [][]int32   // [nodeIndex][pat] cumulative scaling counts
+	invCats    float64 // per-site averaging weight (1 under CAT)
 	tipVec     [16][ns]float64
 	expFn      func(float64) float64
 
-	// Incremental-caching state (nil orient slice = caching disabled).
-	// orient[idx] is the ring record whose directed view the lv/scale
-	// slot of internal node idx currently holds, or nil when the slot is
-	// invalid. Record identity doubles as the validity flag: a record
-	// pointer from a different tree (or a rewired ring) never compares
-	// equal, so stale entries read as invalid.
-	orient []*phylotree.Node
+	// shared is the ancestral-vector store every context of the engine
+	// reads and writes; vectors are laid out [pat*ncat*ns + cat*ns + state]
+	// with per-pattern cumulative scaling counts beside them.
+	shared *SharedCache
 
 	underflowSites uint64
 
@@ -132,11 +126,6 @@ type Engine struct {
 	// ctx0 is the primary kernel context backing the Engine methods; its
 	// meter/underflow sinks are the engine's own counters.
 	ctx0 *Ctx
-
-	// shared, when non-nil (UseSharedCache), is the epoch-tagged
-	// ancestral-vector store serving every worker context; Invalidate and
-	// InvalidateAll forward to it so its epoch tags track the tree.
-	shared *SharedCache
 
 	// Task-level parallelism state: pool, when non-nil (UsePool), executes
 	// NewView traversal descriptors wavefront-parallel. levelOf/levels are
@@ -176,16 +165,7 @@ func NewEngine(pat *alignment.Patterns, mod *model.Model, cfg Config) (*Engine, 
 		e.ncat = mod.NumCats()
 		e.invCats = 1 / float64(e.ncat)
 	}
-	maxIdx := 2*pat.NumTaxa - 2
-	if cfg.Incremental {
-		e.orient = make([]*phylotree.Node, maxIdx)
-	}
-	e.lv = make([][]float64, maxIdx)
-	e.scale = make([][]int32, maxIdx)
-	for i := pat.NumTaxa; i < maxIdx; i++ {
-		e.lv[i] = make([]float64, e.npat*e.ncat*ns)
-		e.scale[i] = make([]int32, e.npat)
-	}
+	e.shared = newSharedCache(e)
 	for code := 0; code < 16; code++ {
 		for j := 0; j < ns; j++ {
 			if code&(1<<j) != 0 {
@@ -271,80 +251,50 @@ func (e *Engine) UnderflowSites() uint64 { return e.underflowSites }
 // no computation.
 //
 // The work is organized as a traversal descriptor: a postorder list of the
-// ring records whose views must actually be recomputed. Without
-// Config.Incremental the descriptor covers every internal node behind p
-// (full recomputation, the paper's measured behaviour); with it, the
-// descent stops at nodes whose cached vector is valid in the needed
-// orientation, so only the dirty path is recomputed. With a pool attached
-// (UsePool) the descriptor executes wavefront-parallel by dependency level.
-func (e *Engine) NewView(p *phylotree.Node) { e.ctx0.NewView(p) }
+// ring records whose views must actually be recomputed. The descent stops
+// at records whose stored vector is current, so only the dirty path is
+// recomputed; under Config.FullRecompute nothing is current on entry and
+// the descriptor covers every internal node behind p (the paper's measured
+// behaviour). With a pool attached (UsePool) the descriptor executes
+// wavefront-parallel by dependency level.
+func (e *Engine) NewView(p *phylotree.Node) {
+	e.BeginBatch()
+	e.ctx0.NewView(p)
+}
+
+// BeginBatch marks the start of an independent unit of kernel work: under
+// Config.FullRecompute it drops every stored vector, so the unit recomputes
+// what it needs from scratch; otherwise it is a no-op. Every Engine entry
+// point calls it, and the search calls it before scoring each pruned
+// subtree's insertion candidates, whose lazy-SPR vectors then live exactly
+// as long as the paper's per-prune memo.
+func (e *Engine) BeginBatch() {
+	if e.Cfg.FullRecompute {
+		e.shared.InvalidateAll()
+	}
+}
 
 // Invalidate marks the minimal dirty set after a change to the branch
-// (p, p.Back): every cached view whose subtree contains that branch — i.e.
+// (p, p.Back): every stored view whose subtree contains that branch — i.e.
 // every view not oriented toward it — is dropped. Views oriented toward the
 // branch exclude it by construction and stay valid, which is what makes
 // branch smoothing O(changed path) instead of O(taxa). The walk is pure
-// pointer chasing (no kernel work) and a no-op without Config.Incremental.
+// pointer chasing (no kernel work). A detached record drops everything.
 //
 // Callers that change a branch length directly via SetZ (rather than
 // through MakeNewz, which invalidates itself) must call this; topology
 // operations on a Tree wired up with AttachTree invalidate automatically.
-func (e *Engine) Invalidate(p *phylotree.Node) {
-	if e.orient == nil && e.shared == nil {
-		return
-	}
-	q := p.Back
-	if q == nil {
-		// Detached record: no branch to orient against, drop everything.
-		e.InvalidateAll()
-		return
-	}
-	if e.shared != nil {
-		e.shared.invalidate(p)
-	}
-	if e.orient != nil {
-		e.invalidateToward(p)
-		e.invalidateToward(q)
-	}
-}
+func (e *Engine) Invalidate(p *phylotree.Node) { e.shared.invalidate(p) }
 
-// invalidateToward walks the component behind record a, clearing every
-// cached view not oriented at the record facing the changed branch (a
-// itself at this ring, the corresponding Back records deeper down).
-func (e *Engine) invalidateToward(a *phylotree.Node) {
-	if a.IsTip() {
-		return
-	}
-	if o := e.orient[a.Index]; o != nil && o != a {
-		e.orient[a.Index] = nil
-	}
-	if b := a.Next.Back; b != nil {
-		e.invalidateToward(b)
-	}
-	if b := a.Next.Next.Back; b != nil {
-		e.invalidateToward(b)
-	}
-}
-
-// InvalidateAll drops every cached partial vector; the next evaluation
+// InvalidateAll drops every stored partial vector; the next evaluation
 // recomputes the full tree. Model swaps and cross-tree reuse call this.
-func (e *Engine) InvalidateAll() {
-	if e.shared != nil {
-		e.shared.InvalidateAll()
-	}
-	for i := range e.orient {
-		e.orient[i] = nil
-	}
-}
+func (e *Engine) InvalidateAll() { e.shared.InvalidateAll() }
 
-// AttachTree wires the engine's caches to the tree's branch-change hooks,
+// AttachTree wires the engine's store to the tree's branch-change hooks,
 // so Prune/Regraft/Undo/InsertTip/RemoveTip invalidate the affected views
-// automatically, and clears the caches (the tree may have been mutated
-// before attachment). The hook reads the engine's cache state at call time,
-// so it also covers a shared ancestral-vector store installed *after*
-// attachment (the search attaches first, then installs the store); without
-// Config.Incremental and without a store the hook is a cheap no-op.
-// Direct SetZ calls bypass the hooks — follow them with Invalidate.
+// automatically, and clears the store (the tree may have been mutated
+// before attachment). Direct SetZ calls bypass the hooks — follow them
+// with Invalidate.
 func (e *Engine) AttachTree(tr *phylotree.Tree) {
 	tr.OnBranchChange(e.Invalidate)
 	e.InvalidateAll()
@@ -396,6 +346,7 @@ func (e *Engine) needsScalingPure(v []float64) bool {
 // paper's evaluate(): a weighted sum over the partial likelihood vector
 // entries with the scaling counters folded back in log space.
 func (e *Engine) Evaluate(p *phylotree.Node) (float64, error) {
+	e.BeginBatch()
 	return e.ctx0.evaluate(p, nil)
 }
 
@@ -407,6 +358,7 @@ func (e *Engine) PerSiteLogL(p *phylotree.Node, dst []float64) ([]float64, error
 		dst = make([]float64, e.npat)
 	}
 	dst = dst[:e.npat]
+	e.BeginBatch()
 	if _, err := e.ctx0.evaluate(p, dst); err != nil {
 		return nil, err
 	}

@@ -17,19 +17,19 @@ func logLClose(a, b float64) bool {
 	return math.Abs(a-b) <= incrTol*math.Max(1, math.Abs(b))
 }
 
-// enginePair builds one incremental and one full-recompute engine over the
-// same data.
+// enginePair builds one default (cached) and one full-recompute engine over
+// the same data.
 func enginePair(t *testing.T, seed int64, nTaxa, nSites int) (*Engine, *Engine, *phylotree.Tree) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pat := randomPatterns(t, rng, nTaxa, nSites)
 	m := randomModel(t, rng, 4)
 	tr := randomTreeFor(t, rng, pat)
-	cached, err := NewEngine(pat, m, Config{Incremental: true})
+	cached, err := NewEngine(pat, m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := NewEngine(pat, m, Config{})
+	full, err := NewEngine(pat, m, Config{FullRecompute: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,15 +26,16 @@ const newtonTol = 1e-9
 // length is written back to the branch and returned together with the
 // log-likelihood at the optimum.
 func (e *Engine) MakeNewz(p *phylotree.Node) (float64, float64, error) {
+	e.BeginBatch()
 	return e.ctx0.MakeNewz(p)
 }
 
 // MakeNewz is the context-scoped form of Engine.MakeNewz. All Newton
 // scratch (sum table, λr products, exponential blocks) is per-context, so
 // the solver itself never aliases across contexts; note however that it
-// recomputes the shared per-node vectors (NewView) and writes the branch
-// length back into the shared tree, so concurrent calls on one engine are
-// only safe when the caller guarantees the touched regions are disjoint.
+// writes the engine's vector store (NewView) and the branch length back
+// into the shared tree, so concurrent calls on one engine are only safe
+// when the caller guarantees the touched regions are disjoint.
 // The concurrency-safe scoring path is Views.InsertionScore, which runs
 // the same Newton core against private buffers.
 func (c *Ctx) MakeNewz(p *phylotree.Node) (float64, float64, error) {
@@ -49,25 +50,19 @@ func (c *Ctx) MakeNewz(p *phylotree.Node) (float64, float64, error) {
 	if p.IsTip() {
 		p, q = q, p
 	}
-	// After these two calls every valid cached view is oriented toward the
-	// branch (p, q): the traversal recomputes exactly the mis-oriented
-	// nodes, so the final SetZ below only dirties views the Invalidate
-	// walk actually finds stale.
+	// After these two calls both views facing the branch (p, q) are
+	// current; the final SetZ below dirties exactly the views whose
+	// subtree contains the branch.
 	c.NewView(p)
 	c.NewView(q)
 	c.meter.MakenewzCalls++
 	zEntry := p.Z
 
-	pLv := e.lv[p.Index]
-	pScale := e.scale[p.Index]
+	pLv, pScale := e.shared.view(p)
+	qLv, qScale := e.shared.view(q)
 	var qData []byte
-	var qLv []float64
-	var qScale []int32
 	if q.IsTip() {
 		qData = e.Pat.Data[q.Index]
-	} else {
-		qLv = e.lv[q.Index]
-		qScale = e.scale[q.Index]
 	}
 	scaleConst := c.buildSumTable(pLv, pScale, qData, qLv, qScale)
 	bestT, bestLL := c.newtonSolve(p.Z, scaleConst)

@@ -38,13 +38,16 @@ type Meter struct {
 	TipInnerCalls   uint64
 	InnerInnerCalls uint64
 
-	// CacheHits counts traversal-descriptor stops at valid cached vectors
-	// (Config.Incremental): newview work avoided, not performed. All other
-	// counters always reflect only the operations actually executed.
+	// CacheHits counts traversal-descriptor stops at current stored
+	// vectors: newview work avoided, not performed. All other counters
+	// always reflect only the operations actually executed. Always 0 under
+	// Config.FullRecompute.
 	CacheHits uint64
 
-	// SharedHits counts vector requests served by the epoch-tagged shared
-	// ancestral-vector store (SharedCache) — like CacheHits, work avoided.
+	// SharedHits counts Views vector requests (lazy-SPR scoring) served
+	// from a current vector of the engine's store (SharedCache) — like
+	// CacheHits, work avoided; 0 under Config.FullRecompute, whose
+	// per-prune memo reuse the paper's metering does not count.
 	// The total over all workers is deterministic for a fixed search
 	// (single-flight makes the computed set a pure function of the request
 	// set); per-worker attribution depends on which worker reached a node

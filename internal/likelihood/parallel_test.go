@@ -29,12 +29,9 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 	// Partial vectors must be bit-identical: NewView writes are disjoint.
 	serial.NewView(tr.Tips[0].Back)
 	par.NewView(tr.Tips[0].Back)
-	idx := tr.Tips[0].Back.Index
-	for i := range serial.lv[idx] {
-		if serial.lv[idx][i] != par.lv[idx][i] {
-			t.Fatalf("partial vector diverges at %d: %g vs %g", i, serial.lv[idx][i], par.lv[idx][i])
-		}
-	}
+	sLv, sSc := stored(serial, tr.Tips[0].Back)
+	pLv, pSc := stored(par, tr.Tips[0].Back)
+	assertVectorsEqual(t, "threaded partial vector", pLv, sLv, pSc, sSc)
 
 	// Log likelihood agrees to summation-order tolerance.
 	llS, err := serial.Evaluate(tr.Tips[0])

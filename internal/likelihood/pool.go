@@ -9,8 +9,8 @@ import (
 
 // wavefrontMinNodes is the smallest traversal-descriptor length worth
 // scheduling by dependency level instead of executing serially — short
-// descriptors (the common incremental-cache case) are path-shaped and have
-// no width to exploit.
+// descriptors (the common cached case) are path-shaped and have no width
+// to exploit.
 const wavefrontMinNodes = 4
 
 // wavefrontMinWidth is the smallest dependency-level width worth fanning
@@ -112,6 +112,17 @@ func (p *Pool) Run(n int, fn func(worker, task int)) {
 	if w > n {
 		w = n
 	}
+	if w == 1 {
+		// A single block runs on the calling goroutine: a one-worker pool
+		// (the serial search) or a one-task fan-out spawns nothing.
+		p.setBusy(+1)
+		for t := 0; t < n; t++ {
+			fn(0, t)
+		}
+		p.setBusy(-1)
+		p.merge()
+		return
+	}
 	var wg sync.WaitGroup
 	for wk := 0; wk < w; wk++ {
 		lo, hi := n*wk/w, n*(wk+1)/w
@@ -129,8 +140,14 @@ func (p *Pool) Run(n int, fn func(worker, task int)) {
 		}(wk, lo, hi)
 	}
 	wg.Wait()
+	p.merge()
+}
+
+// merge folds every worker context's counters into the engine in worker
+// order, snapshotting the per-worker attribution before mergeInto resets
+// it.
+func (p *Pool) merge() {
 	for i, c := range p.ctxs {
-		// Snapshot per-worker attribution before mergeInto resets it.
 		p.workerMeters[i].Add(&c.ownMeter)
 		c.mergeInto(p.eng)
 	}
@@ -160,12 +177,12 @@ func (p *Pool) setBusy(d int64) {
 // This is the engine's analogue of batching independent partial-likelihood
 // operations across tree nodes (the paper's EDTLP dispatch; BEAGLE's
 // operation batching): a full 42-taxon recomputation has ~20 leaf-adjacent
-// views in level 0 alone, while an incremental path descriptor degenerates
-// to width-1 levels and runs serially.
+// views in level 0 alone, while a cached path descriptor degenerates to
+// width-1 levels and runs serially.
 func (p *Pool) wavefront(trav []*phylotree.Node) {
 	e := p.eng
 	if e.levelOf == nil {
-		e.levelOf = make([]int32, len(e.lv))
+		e.levelOf = make([]int32, 2*e.Pat.NumTaxa-2)
 		for i := range e.levelOf {
 			e.levelOf[i] = -1
 		}

@@ -14,10 +14,10 @@ import (
 // pure scheduling change: with a pool attached, Evaluate must produce the
 // same log-likelihood (the partial vectors are computed by the identical
 // combine calls, only distributed over workers) and the identical Meter
-// totals as the serial engine, for both the full-recompute and the
-// incremental configuration.
+// totals as the serial engine, for both the cached default and the
+// full-recompute configuration.
 func TestWavefrontNewViewMatchesSerial(t *testing.T) {
-	for _, cfg := range []Config{{}, {Incremental: true}} {
+	for _, cfg := range []Config{{}, {FullRecompute: true}} {
 		rng := rand.New(rand.NewSource(301))
 		pat := randomPatterns(t, rng, 14, 120)
 		m := randomModel(t, rng, 4)
@@ -50,14 +50,18 @@ func TestWavefrontNewViewMatchesSerial(t *testing.T) {
 			t.Errorf("cfg %+v: wavefront meter diverged from serial:\n serial %+v\n wave   %+v",
 				cfg, serial.Meter, wave.Meter)
 		}
-		// Every internal-node vector must be bit-identical, not just the
-		// final reduction.
-		for i := pat.NumTaxa; i < 2*pat.NumTaxa-2; i++ {
-			for j := range serial.lv[i] {
-				if math.Abs(serial.lv[i][j]-wave.lv[i][j]) > 0 {
-					t.Fatalf("cfg %+v: lv[%d][%d] differs", cfg, i, j)
-				}
+		// Every stored vector must be bit-identical, not just the final
+		// reduction.
+		for _, r := range internalRecords(tr) {
+			if !serial.shared.current(r) {
+				continue
 			}
+			if !wave.shared.current(r) {
+				t.Fatalf("cfg %+v: record current serially but not under the wavefront", cfg)
+			}
+			sLv, sSc := stored(serial, r)
+			wLv, wSc := stored(wave, r)
+			assertVectorsEqual(t, "wavefront vector", wLv, sLv, wSc, sSc)
 		}
 	}
 }
@@ -236,10 +240,12 @@ func TestMakeNewzScratchConcurrent(t *testing.T) {
 		t.Fatalf("only %d candidates", len(cands))
 	}
 
-	// Serial ground truth through the engine's primary context.
+	// Serial ground truth, recomputed cold on a full-recompute engine.
 	type score struct{ z, ll float64 }
 	serial := make([]score, len(cands))
-	views := eng.NewViews()
+	cold := coldEngine(t, eng)
+	cold.BeginBatch()
+	views := cold.Views()
 	for i, cand := range cands {
 		z, ll, err := views.InsertionScore(cand, ps.P, z0)
 		if err != nil {
@@ -247,7 +253,6 @@ func TestMakeNewzScratchConcurrent(t *testing.T) {
 		}
 		serial[i] = score{z, ll}
 	}
-	views.Release()
 
 	// Two concurrent scorers, each owning a context and a Views.
 	got := make([]score, len(cands))
@@ -257,8 +262,7 @@ func TestMakeNewzScratchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			v := eng.NewCtx().NewViews()
-			defer v.Release()
+			v := eng.NewCtx().Views()
 			for i := g; i < len(cands); i += 2 {
 				z, ll, err := v.InsertionScore(cands[i], ps.P, z0)
 				if err != nil {

@@ -2,28 +2,58 @@ package likelihood
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"raxmlcell/internal/phylotree"
 )
 
-// sharedFixture builds an engine with an installed shared vector store and
-// tree-edit hooks wired, plus the tree it serves.
+// sharedFixture builds a default engine with tree-edit hooks wired, plus
+// its vector store and the tree it serves.
 func sharedFixture(t *testing.T, seed int64, nTaxa, nSites int) (*Engine, *SharedCache, *phylotree.Tree) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pat := randomPatterns(t, rng, nTaxa, nSites)
 	m := randomModel(t, rng, 4)
 	tr := randomTreeFor(t, rng, pat)
-	eng, err := NewEngine(pat, m, Config{Incremental: true})
+	eng, err := NewEngine(pat, m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := eng.NewSharedCache()
-	eng.UseSharedCache(shared)
 	eng.AttachTree(tr)
-	return eng, shared, tr
+	return eng, eng.Shared(), tr
+}
+
+// stored returns the vector and scale counts eng's store holds for record
+// r, which the caller has just made current.
+func stored(eng *Engine, r *phylotree.Node) ([]float64, []int32) {
+	return eng.shared.view(r)
+}
+
+// coldEngine returns a full-recompute engine over eng's patterns, model
+// and backend: the cold reference every cached path is compared against.
+// It needs no tree hooks — each batch starts from an empty store.
+func coldEngine(t *testing.T, eng *Engine) *Engine {
+	t.Helper()
+	cold, err := NewEngine(eng.Pat, eng.Mod, Config{Backend: eng.Cfg.Backend, FullRecompute: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cold
+}
+
+// coldVector recomputes the directed vector behind r from scratch on a
+// cold engine. The slices are only valid until the cold engine's next
+// batch.
+func coldVector(t *testing.T, cold *Engine, r *phylotree.Node) ([]float64, []int32) {
+	t.Helper()
+	cold.BeginBatch()
+	lv, sc, err := cold.Views().Vector(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lv, sc
 }
 
 // internalRecords collects every directed internal ring record of the tree:
@@ -70,15 +100,14 @@ func assertVectorsEqual(t *testing.T, stage string, gotLv, wantLv []float64, got
 	}
 }
 
-// TestSharedViewsMatchPrivate pins the equivalence that makes the shared
-// store a pure scheduling change: for every directed internal record, the
-// vector served by a shared-backed Views is bit-identical to the one a
-// private per-context Views computes from scratch.
-func TestSharedViewsMatchPrivate(t *testing.T) {
+// TestSharedViewsMatchColdRecompute pins the equivalence that makes the
+// store a pure caching change: for every directed internal record, the
+// vector Views serves is bit-identical to the one a full-recompute engine
+// computes from scratch.
+func TestSharedViewsMatchColdRecompute(t *testing.T) {
 	eng, shared, tr := sharedFixture(t, 801, 12, 80)
-	sv := eng.NewSharedViews(shared)
-	pv := eng.NewViews()
-	defer pv.Release()
+	sv := eng.Views()
+	cold := coldEngine(t, eng)
 	recs := internalRecords(tr)
 	if len(recs) == 0 {
 		t.Fatal("no internal records")
@@ -88,10 +117,7 @@ func TestSharedViewsMatchPrivate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantLv, wantSc, err := pv.Vector(r)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantLv, wantSc := coldVector(t, cold, r)
 		assertVectorsEqual(t, fmt.Sprintf("record %d", i), gotLv, wantLv, gotSc, wantSc)
 	}
 	if shared.Computes() == 0 || shared.Computes() > uint64(len(recs)) {
@@ -115,10 +141,10 @@ func TestSharedViewsMatchPrivate(t *testing.T) {
 // TestSharedCacheEpochRetag pins the selective invalidation: after a branch
 // change, the one orientation per ring facing the changed branch survives
 // into the new epoch (pure hit), every other orientation recomputes, and
-// the recomputed vectors are bit-identical to a cold private recompute.
+// the recomputed vectors are bit-identical to a cold recompute.
 func TestSharedCacheEpochRetag(t *testing.T) {
 	eng, shared, tr := sharedFixture(t, 802, 10, 60)
-	sv := eng.NewSharedViews(shared)
+	sv := eng.Views()
 	recs := internalRecords(tr)
 	for _, r := range recs {
 		if _, _, err := sv.Vector(r); err != nil {
@@ -157,9 +183,8 @@ func TestSharedCacheEpochRetag(t *testing.T) {
 		}
 	}
 	// The other orientations at e's ring include the changed branch and must
-	// recompute — and match a cold private recompute bit for bit.
-	pv := eng.NewViews()
-	defer pv.Release()
+	// recompute — and match a cold recompute bit for bit.
+	cold := coldEngine(t, eng)
 	for _, r := range [...]*phylotree.Node{e.Next, e.Next.Next, e.Back.Next, e.Back.Next.Next} {
 		before := shared.Computes()
 		gotLv, gotSc, err := sv.Vector(r)
@@ -169,10 +194,7 @@ func TestSharedCacheEpochRetag(t *testing.T) {
 		if shared.Computes() == before {
 			t.Error("stale orientation served without recompute")
 		}
-		wantLv, wantSc, err := pv.Vector(r)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantLv, wantSc := coldVector(t, cold, r)
 		assertVectorsEqual(t, "post-invalidate", gotLv, wantLv, gotSc, wantSc)
 	}
 
@@ -199,7 +221,7 @@ func TestPoolSharedCacheSingleFlight(t *testing.T) {
 	pool := eng.NewPool(4)
 	views := make([]*Views, pool.Workers())
 	for w := range views {
-		views[w] = pool.Ctx(w).NewSharedViews(shared)
+		views[w] = pool.Ctx(w).Views()
 	}
 	recs := internalRecords(tr)
 	const lapsPerWorker = 4
@@ -255,11 +277,12 @@ func TestPoolSharedCacheSingleFlight(t *testing.T) {
 // vectors before the edit bumps the epoch, and every post-edit read must be
 // bit-identical to a cold recompute. Runs under -race in CI.
 func TestPoolSharedCacheAcrossInvalidations(t *testing.T) {
-	eng, shared, tr := sharedFixture(t, 804, 12, 60)
+	eng, _, tr := sharedFixture(t, 804, 12, 60)
+	cold := coldEngine(t, eng)
 	pool := eng.NewPool(4)
 	views := make([]*Views, pool.Workers())
 	for w := range views {
-		views[w] = pool.Ctx(w).NewSharedViews(shared)
+		views[w] = pool.Ctx(w).Views()
 	}
 	rng := rand.New(rand.NewSource(805))
 	for round := 0; round < 8; round++ {
@@ -281,28 +304,23 @@ func TestPoolSharedCacheAcrossInvalidations(t *testing.T) {
 		e := edges[rng.Intn(len(edges))]
 		e.SetZ(e.Z*0.8 + 0.01)
 		eng.Invalidate(e)
-		pv := eng.NewViews()
-		sv := eng.NewSharedViews(shared)
+		sv := eng.Views()
 		for k := 0; k < 5; k++ {
 			r := recs[rng.Intn(len(recs))]
 			gotLv, gotSc, err := sv.Vector(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantLv, wantSc, err := pv.Vector(r)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantLv, wantSc := coldVector(t, cold, r)
 			assertVectorsEqual(t, "round audit", gotLv, wantLv, gotSc, wantSc)
 		}
-		pv.Release()
 	}
 }
 
 // FuzzEpochCacheEquivalence drives random interleavings of branch edits,
 // topology moves, full invalidations and reads over a random small tree,
-// asserting after every operation that a sample of shared-store vectors is
-// bit-identical to a cold private recompute at the current epoch.
+// asserting after every operation that a sample of stored vectors is
+// bit-identical to a cold full recompute at the current epoch.
 func FuzzEpochCacheEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 0, 1, 2, 3})
 	f.Add(int64(7), []byte{1, 1, 1, 2, 0, 3, 2, 2, 1, 0})
@@ -316,31 +334,25 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 		pat := randomPatterns(t, rng, nTaxa, 24)
 		m := randomModel(t, rng, 4)
 		tr := randomTreeFor(t, rng, pat)
-		eng, err := NewEngine(pat, m, Config{Incremental: true})
+		eng, err := NewEngine(pat, m, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared := eng.NewSharedCache()
-		eng.UseSharedCache(shared)
 		eng.AttachTree(tr)
-		sv := eng.NewSharedViews(shared)
+		sv := eng.Views()
+		cold := coldEngine(t, eng)
 
 		audit := func(stage string) {
 			recs := internalRecords(tr)
-			pv := eng.NewViews()
 			for k := 0; k < 4 && k < len(recs); k++ {
 				r := recs[rng.Intn(len(recs))]
 				gotLv, gotSc, err := sv.Vector(r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantLv, wantSc, err := pv.Vector(r)
-				if err != nil {
-					t.Fatal(err)
-				}
+				wantLv, wantSc := coldVector(t, cold, r)
 				assertVectorsEqual(t, stage, gotLv, wantLv, gotSc, wantSc)
 			}
-			pv.Release()
 		}
 
 		audit("initial")
@@ -388,4 +400,59 @@ func FuzzEpochCacheEquivalence(f *testing.F) {
 			audit("after op")
 		}
 	})
+}
+
+// TestStoreSlotsFollowRecords pins the slot-claiming rule: a slot belongs
+// to the ring record that claimed it, so one engine serving two trees that
+// share node indices (a clone), or a tree whose freed index is reused by a
+// new ring (RemoveTip/InsertTip), never reads another record's vector.
+// Every likelihood must equal a cold full recompute.
+func TestStoreSlotsFollowRecords(t *testing.T) {
+	eng, _, trA := sharedFixture(t, 806, 10, 60)
+	cold := coldEngine(t, eng)
+	check := func(stage string, tr *phylotree.Tree) {
+		t.Helper()
+		// Views first: a record claiming a slot must not inherit the
+		// previous owner's current tag.
+		for _, r := range internalRecords(tr) {
+			gotLv, gotSc, err := eng.Views().Vector(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLv, wantSc := coldVector(t, cold, r)
+			assertVectorsEqual(t, stage, gotLv, wantLv, gotSc, wantSc)
+		}
+		for _, e := range tr.Edges() {
+			want, err := cold.Evaluate(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.Evaluate(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: logL %.17g != cold %.17g", stage, got, want)
+			}
+		}
+	}
+	check("tree A", trA)
+
+	// A clone reuses every node index with new records; edit it without
+	// telling the engine, then alternate between the two trees.
+	trB := trA.Clone()
+	e := trB.InternalEdges()[0]
+	e.SetZ(e.Z*1.7 + 0.01)
+	check("clone B", trB)
+	check("tree A again", trA)
+	check("clone B again", trB)
+
+	// RemoveTip frees an internal index; InsertTip hands it to a new ring.
+	if err := trA.RemoveTip(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := trA.InsertTip(3, trA.Tips[7]); err != nil {
+		t.Fatal(err)
+	}
+	check("reinserted tip", trA)
 }

@@ -7,142 +7,37 @@ import (
 	"raxmlcell/internal/phylotree"
 )
 
-// Views is a memoized table of directed partial likelihood vectors over a
-// topologically frozen tree: one vector per directed internal ring record,
-// computed on demand and shared across queries. It is the engine's
-// implementation of RAxML's lazy SPR evaluation — after pruning a subtree,
-// every candidate insertion branch can be scored in O(patterns) time from
-// cached vectors instead of recomputing the whole tree.
-//
-// A Views must be discarded as soon as the tree's topology or any branch
-// length changes. A Views is bound to one kernel context and inherits its
-// (lack of) concurrency: concurrent scoring uses one Views per worker
-// context (see Pool), never one Views from several goroutines.
+// Views is one kernel context's binding to the engine's ancestral-vector
+// store for lazy SPR evaluation: after pruning a subtree, every candidate
+// insertion branch is scored in O(patterns) time from the stored directed
+// vectors of the frozen tree instead of recomputing the whole tree
+// (RAxML's lazy SPR). Vectors are engine-wide; kernel scratch, metering and
+// the virtual-node buffer stay with the bound context, so concurrent
+// scoring uses one Views per worker context (see Pool), never one Views
+// from several goroutines.
 type Views struct {
-	ctx   *Ctx
-	lv    map[*phylotree.Node][]float64
-	scale map[*phylotree.Node][]int32
-	order []*phylotree.Node // memoization order, so Release is deterministic
-
-	// shared, when non-nil, replaces the private memo tables: Vector
-	// delegates to the engine-wide epoch-tagged store, so every worker's
-	// Views of one pool reads (and fills) the same vectors instead of each
-	// recomputing them. The kernel context stays per-worker — only the
-	// result vectors are shared. Built by NewSharedViews.
-	shared *SharedCache
+	ctx *Ctx
 }
 
-// NewViews creates an empty view table over the engine's current model,
-// bound to the engine's primary context.
-func (e *Engine) NewViews() *Views { return e.ctx0.NewViews() }
+// Views returns a view binding on the engine's primary context: vector
+// hits and computes are attributed to Engine.Meter directly.
+func (e *Engine) Views() *Views { return e.ctx0.Views() }
 
-// NewViews creates an empty view table bound to this context: its vectors
-// are computed with the context's scratch and pooled in the context's
-// buffer pools, so tables of different contexts never share mutable state.
-func (c *Ctx) NewViews() *Views {
-	return &Views{
-		ctx:   c,
-		lv:    make(map[*phylotree.Node][]float64),
-		scale: make(map[*phylotree.Node][]int32),
-	}
-}
-
-// NewSharedViews creates a view table backed by the engine's shared
-// epoch-tagged vector store instead of private memo tables, bound to the
-// engine's primary context: vector hits and computes are attributed to
-// Engine.Meter directly. Used by the pooled search's serial fallback so
-// small candidate sets still reuse (and warm) the shared store.
-func (e *Engine) NewSharedViews(s *SharedCache) *Views { return e.ctx0.NewSharedViews(s) }
-
-// NewSharedViews creates a view table backed by the shared epoch-tagged
-// vector store, bound to this context: cached vectors are engine-wide, but
-// kernel scratch, metering and the scoring path's scratch buffers stay
-// per-worker. Unlike a private Views, a shared-backed table survives tree
-// edits (the store's epoch tags track them), needs no Release, and may be
-// used from several goroutines — one per distinct bound context.
-func (c *Ctx) NewSharedViews(s *SharedCache) *Views {
-	return &Views{ctx: c, shared: s}
-}
-
-// Release returns all cached buffers to the owning context's pool.
-func (v *Views) Release() {
-	// Iterate in memoization order, not map order: the pools are stacks, so
-	// return order decides which buffer each future view reuses, and replay
-	// must hand out identical buffers.
-	for _, r := range v.order {
-		if buf, ok := v.lv[r]; ok {
-			v.ctx.lvPool = append(v.ctx.lvPool, buf)
-			delete(v.lv, r)
-		}
-		if sc, ok := v.scale[r]; ok {
-			v.ctx.scPool = append(v.ctx.scPool, sc)
-			delete(v.scale, r)
-		}
-	}
-	v.order = v.order[:0]
-}
-
-func (c *Ctx) getLvBuf() []float64 {
-	if n := len(c.lvPool); n > 0 {
-		b := c.lvPool[n-1]
-		c.lvPool = c.lvPool[:n-1]
-		return b
-	}
-	e := c.eng
-	return make([]float64, e.npat*e.ncat*ns)
-}
-
-func (c *Ctx) getScBuf() []int32 {
-	if n := len(c.scPool); n > 0 {
-		b := c.scPool[n-1]
-		c.scPool = c.scPool[:n-1]
-		for i := range b {
-			b[i] = 0
-		}
-		return b
-	}
-	return make([]int32, c.eng.npat)
-}
+// Views returns a view binding on this context.
+func (c *Ctx) Views() *Views { return &Views{ctx: c} }
 
 // Vector returns the partial likelihood vector and scale counts of the
-// subtree behind record r (computed through r's two other ring members),
-// memoizing recursively. For tip records it returns (nil, nil): callers use
-// the tip codes directly.
+// subtree behind record r (computed through r's two other ring members)
+// from the engine's store, computing any stale part recursively. For tip
+// records it returns (nil, nil): callers use the tip codes directly. The
+// slices belong to the store and stay valid until the next invalidation.
 func (v *Views) Vector(r *phylotree.Node) ([]float64, []int32, error) {
-	if v.shared != nil {
-		return v.shared.vector(v.ctx, r)
-	}
-	if r.IsTip() {
-		return nil, nil, nil
-	}
-	if lv, ok := v.lv[r]; ok {
-		return lv, v.scale[r], nil
-	}
-	q := r.Next.Back
-	w := r.Next.Next.Back
-	if q == nil || w == nil {
-		return nil, nil, fmt.Errorf("likelihood: view of detached record")
-	}
-	qLv, qSc, err := v.Vector(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	wLv, wSc, err := v.Vector(w)
-	if err != nil {
-		return nil, nil, err
-	}
-	dst := v.ctx.getLvBuf()
-	dsc := v.ctx.getScBuf()
-	v.ctx.combine(q, r.Next.Z, qLv, qSc, w, r.Next.Next.Z, wLv, wSc, dst, dsc)
-	v.lv[r] = dst
-	v.scale[r] = dsc
-	v.order = append(v.order, r)
-	return dst, dsc, nil
+	return v.ctx.eng.shared.vector(v.ctx, r)
 }
 
 // combine is the core of newview factored over explicit child buffers:
-// child vectors may come from the engine's per-node table, a Views cache,
-// or (nil for tips) the pattern data of the child's taxon.
+// child vectors come from the engine's store (or a virtual node), or (nil
+// for tips) the pattern data of the child's taxon.
 func (c *Ctx) combine(q *phylotree.Node, zq float64, qLv []float64, qSc []int32,
 	r *phylotree.Node, zr float64, rLv []float64, rSc []int32,
 	dst []float64, dstScale []int32) {
@@ -223,9 +118,9 @@ func (c *Ctx) combine(q *phylotree.Node, zq float64, qLv []float64, qSc []int32,
 // views, and only the subtree's own branch length is optimized by
 // Newton-Raphson (RAxML's "lazy" evaluation). sub is the detached ring
 // record holding the subtree behind sub.Back; z0 is the starting branch
-// length. The tree itself is not modified, and neither is any engine-level
-// table — concurrent calls are safe when every goroutine scores through
-// its own context's Views.
+// length. The tree itself is not modified; the store only gains vectors
+// under its single-flight latches, so concurrent calls are safe when every
+// goroutine scores through its own context's Views.
 func (v *Views) InsertionScore(cand *phylotree.Node, sub *phylotree.Node, z0 float64) (bestZ, logL float64, err error) {
 	if cand.Back == nil {
 		return 0, 0, fmt.Errorf("likelihood: candidate edge is detached")
@@ -245,14 +140,13 @@ func (v *Views) InsertionScore(cand *phylotree.Node, sub *phylotree.Node, z0 flo
 		return 0, 0, err
 	}
 	// Virtual node x over the split candidate branch.
-	xLv := c.getLvBuf()
-	xSc := c.getScBuf()
-	defer func() {
-		c.lvPool = append(c.lvPool, xLv)
-		c.scPool = append(c.scPool, xSc)
-	}()
+	if c.xLv == nil {
+		e := c.eng
+		c.xLv = make([]float64, e.npat*e.ncat*ns)
+		c.xSc = make([]int32, e.npat)
+	}
 	half := cand.Z / 2
-	c.combine(cand, half, aLv, aSc, cand.Back, half, bLv, bSc, xLv, xSc)
+	c.combine(cand, half, aLv, aSc, cand.Back, half, bLv, bSc, c.xLv, c.xSc)
 
 	// Subtree-side vector: viewed through the subtree root record s, whose
 	// children live inside the pruned subtree.
@@ -260,7 +154,7 @@ func (v *Views) InsertionScore(cand *phylotree.Node, sub *phylotree.Node, z0 flo
 	if err != nil {
 		return 0, 0, err
 	}
-	return c.newtonOnBranch(xLv, xSc, s, sLv, sSc, z0)
+	return c.newtonOnBranch(c.xLv, c.xSc, s, sLv, sSc, z0)
 }
 
 // newtonOnBranch optimizes the branch length between an explicit vector

@@ -9,8 +9,9 @@ import (
 )
 
 func TestViewsVectorMatchesNewView(t *testing.T) {
-	// The memoized directed vector at the record opposite tip 0 must match
-	// what the engine's own NewView computes for the same orientation.
+	// The directed vector Views serves at the record opposite tip 0 must
+	// match what NewView computes for the same orientation on a cold
+	// full-recompute engine.
 	rng := rand.New(rand.NewSource(201))
 	pat := randomPatterns(t, rng, 10, 60)
 	m := randomModel(t, rng, 4)
@@ -19,12 +20,13 @@ func TestViewsVectorMatchesNewView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cold := coldEngine(t, eng)
 
 	p := tr.Tips[0].Back
-	eng.NewView(p)
-	direct := append([]float64(nil), eng.lv[p.Index]...)
+	cold.NewView(p)
+	direct, directSc := stored(cold, p)
 
-	views := eng.NewViews()
+	views := eng.Views()
 	cached, sc, err := views.Vector(p)
 	if err != nil {
 		t.Fatal(err)
@@ -32,17 +34,12 @@ func TestViewsVectorMatchesNewView(t *testing.T) {
 	if sc == nil {
 		t.Fatal("nil scale vector for internal record")
 	}
-	for i := range direct {
-		if direct[i] != cached[i] {
-			t.Fatalf("vector entry %d: %g vs %g", i, direct[i], cached[i])
-		}
-	}
+	assertVectorsEqual(t, "views vs newview", cached, direct, sc, directSc)
 	// Tip records yield nil.
 	lv, _, err := views.Vector(tr.Tips[3])
 	if err != nil || lv != nil {
 		t.Errorf("tip record: %v, %v", lv, err)
 	}
-	views.Release()
 }
 
 func TestViewsMemoization(t *testing.T) {
@@ -54,7 +51,7 @@ func TestViewsMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	views := eng.NewViews()
+	views := eng.Views()
 	if _, _, err := views.Vector(tr.Tips[0].Back); err != nil {
 		t.Fatal(err)
 	}
@@ -67,40 +64,36 @@ func TestViewsMemoization(t *testing.T) {
 		t.Error("memoized vector recomputed")
 	}
 	// Computing every directed vector costs at most 3*(n-2) newviews total.
-	for _, e := range tr.Edges() {
-		if !e.IsTip() {
-			if _, _, err := views.Vector(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !e.Back.IsTip() {
-			if _, _, err := views.Vector(e.Back); err != nil {
-				t.Fatal(err)
-			}
+	for _, r := range internalRecords(tr) {
+		if _, _, err := views.Vector(r); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if max := uint64(3 * (12 - 2)); eng.Meter.NewviewCalls > max {
 		t.Errorf("views computation used %d newviews, bound %d", eng.Meter.NewviewCalls, max)
 	}
-	views.Release()
-	// Pool reuse: a second Views should allocate nothing new (hard to
-	// observe directly; just exercise the path).
-	v2 := eng.NewViews()
-	if _, _, err := v2.Vector(tr.Tips[1].Back); err != nil {
+	// A binding on another context reads the same store: no recompute.
+	calls = eng.Meter.NewviewCalls
+	worker := eng.NewCtx()
+	if _, _, err := worker.Views().Vector(tr.Tips[1].Back); err != nil {
 		t.Fatal(err)
 	}
-	v2.Release()
+	if eng.Meter.NewviewCalls != calls || worker.ownMeter.NewviewCalls != 0 {
+		t.Error("second binding recomputed a stored vector")
+	}
 }
 
 // insertionScoreExhaustive reproduces the pre-lazy trial: physically
 // regraft, run full MakeNewz on the subtree branch, read the likelihood,
-// and undo. It is the ground truth the lazy path must match.
+// and undo — invalidating after each direct SetZ, as the search does. It is
+// the ground truth the lazy path must match.
 func insertionScoreExhaustive(t *testing.T, eng *Engine, tr *phylotree.Tree, ps *phylotree.PrunedSubtree, cand *phylotree.Node, z0 float64) (float64, float64) {
 	t.Helper()
 	if err := tr.Regraft(ps, cand); err != nil {
 		t.Fatal(err)
 	}
 	ps.P.SetZ(z0)
+	eng.Invalidate(ps.P)
 	z, ll, err := eng.MakeNewz(ps.P)
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +102,7 @@ func insertionScoreExhaustive(t *testing.T, eng *Engine, tr *phylotree.Tree, ps 
 		t.Fatal(err)
 	}
 	ps.P.SetZ(z0)
+	eng.Invalidate(ps.P)
 	return z, ll
 }
 
@@ -121,6 +115,7 @@ func TestInsertionScoreMatchesExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.AttachTree(tr)
 
 	p := tr.Tips[4].Back
 	ps, err := tr.Prune(p)
@@ -134,7 +129,7 @@ func TestInsertionScoreMatchesExhaustive(t *testing.T) {
 	if len(cands) < 3 {
 		t.Fatalf("only %d candidates", len(cands))
 	}
-	views := eng.NewViews()
+	views := eng.Views()
 	for i, cand := range cands {
 		zLazy, llLazy, err := views.InsertionScore(cand, ps.P, z0)
 		if err != nil {
@@ -148,7 +143,6 @@ func TestInsertionScoreMatchesExhaustive(t *testing.T) {
 			t.Errorf("candidate %d: lazy z %.8f != exhaustive %.8f", i, zLazy, zEx)
 		}
 	}
-	views.Release()
 	if err := tr.Undo(ps); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +160,7 @@ func TestInsertionScoreErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	views := eng.NewViews()
+	views := eng.Views()
 	detached := &phylotree.Node{Index: 99}
 	if _, _, err := views.InsertionScore(detached, tr.Tips[0].Back, 0.1); err == nil {
 		t.Error("detached candidate accepted")
@@ -174,5 +168,4 @@ func TestInsertionScoreErrors(t *testing.T) {
 	if _, _, err := views.InsertionScore(tr.Tips[1], detached, 0.1); err == nil {
 		t.Error("detached subtree accepted")
 	}
-	views.Release()
 }

@@ -4,16 +4,18 @@ import (
 	"go/ast"
 )
 
-// InvalidatePair enforces the incremental-cache coherence rule from PR 1.
+// InvalidatePair enforces the vector-store coherence rule.
 //
-// likelihood.Engine caches partial likelihood vectors keyed by ring-record
-// orientation. Topology edits made through phylotree.Tree fire branch-change
-// hooks (AttachTree), and MakeNewz invalidates its own branch — but a
-// *direct* branch-length write via Node.SetZ bypasses both. Any search-layer
-// code (internal/search, internal/core) that calls SetZ must therefore
-// follow it, in the same function, with an Engine.Invalidate(node) or
-// Engine.InvalidateAll() call, or cached vectors silently go stale and
-// -incremental returns wrong likelihoods.
+// likelihood.Engine keeps directed partial likelihood vectors across calls
+// in its epoch-tagged store (the default; only Config.FullRecompute
+// recomputes everything per call). Topology edits made through
+// phylotree.Tree fire branch-change hooks (AttachTree), and MakeNewz
+// invalidates its own branch — but a *direct* branch-length write via
+// Node.SetZ bypasses both. Any search-layer code (internal/search,
+// internal/core) that calls SetZ must therefore follow it, in the same
+// function, with an Engine.Invalidate(node) or Engine.InvalidateAll() call,
+// or stored vectors silently go stale and every default analysis returns
+// wrong likelihoods.
 //
 // The check is positional: a SetZ call is flagged unless an
 // Invalidate/InvalidateAll method call appears later in the same enclosing
@@ -71,7 +73,7 @@ func checkInvalidatePairs(pass *Pass, fn *ast.FuncDecl) {
 		}
 		if !paired {
 			pass.Reportf(s.call.Pos(),
-				"direct SetZ bypasses the tree's branch-change hooks and is not followed by Engine.Invalidate/InvalidateAll in %s; the incremental cache would serve stale vectors", fn.Name.Name)
+				"direct SetZ bypasses the tree's branch-change hooks and is not followed by Engine.Invalidate/InvalidateAll in %s; the engine's vector store would serve stale vectors", fn.Name.Name)
 		}
 	}
 }

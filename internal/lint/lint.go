@@ -8,7 +8,7 @@
 //     EXPERIMENTS.md stop being reproducible.
 //   - invalidatepair: every direct SetZ branch-length write in the search
 //     layer must be followed by an Engine.Invalidate/InvalidateAll, or the
-//     incremental partial-likelihood cache (PR 1) silently serves stale
+//     engine's partial-likelihood vector store silently serves stale
 //     vectors.
 //   - hotpathalloc: the likelihood inner kernels must not allocate per
 //     pattern-loop iteration or bypass the configured exp() implementation.

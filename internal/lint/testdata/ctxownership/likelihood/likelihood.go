@@ -27,7 +27,7 @@ func NewEngine() *Engine {
 
 func (e *Engine) NewCtx() *Ctx { return &Ctx{eng: e} }
 
-func (c *Ctx) NewViews() *Views { return &Views{ctx: c} }
+func (c *Ctx) Views() *Views { return &Views{ctx: c} }
 
 func (e *Engine) NewPool(n int) *Pool {
 	p := &Pool{ctxs: make([]*Ctx, n)}

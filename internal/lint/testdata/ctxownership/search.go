@@ -20,7 +20,7 @@ func legal(eng *likelihood.Engine) {
 	sc := &searchCtx{pool: eng.NewPool(4)}
 	sc.views = make([]*likelihood.Views, sc.pool.Workers()) // own struct: legal
 	sc.pool.Run(func(w int) {
-		sc.views[w] = sc.pool.Ctx(w).NewViews() // own struct, pool fan-out: legal
+		sc.views[w] = sc.pool.Ctx(w).Views() // own struct, pool fan-out: legal
 	})
 }
 
@@ -29,7 +29,7 @@ func leakStores(eng *likelihood.Engine) {
 	sharedCtx = ctx   // want `likelihood\.Ctx stored in package-level variable "sharedCtx"`
 	eng.Scratch = ctx // want `likelihood\.Ctx stored into shared Engine field "Scratch"`
 
-	v := ctx.NewViews()
+	v := ctx.Views()
 	j := &likelihood.Job{}
 	j.V = v // want `likelihood\.Views stored into field V of .*likelihood\.Job, a struct of another package`
 	_ = &likelihood.Job{

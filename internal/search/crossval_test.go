@@ -29,13 +29,13 @@ func load42SC(t testing.TB) *alignment.Patterns {
 	return alignment.Compress(a)
 }
 
-// TestIncrementalCrossValidation42SC drives an incremental-caching engine
-// and a full-recompute engine through the same 50-step sequence of random
+// TestIncrementalCrossValidation42SC drives a default (cached) engine and a
+// full-recompute engine through the same 50-step sequence of random
 // SPR prune/regraft moves, undos, hand-edited branch lengths and smoothing
 // passes on the 42_SC fixture, checking after every step that the two
 // engines report the same log-likelihood (within 1e-9 relative) on
 // identical topologies. This is the end-to-end guarantee that the
-// dirty-flag invalidation never serves a stale partial vector.
+// store's epoch invalidation never serves a stale partial vector.
 func TestIncrementalCrossValidation42SC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50-step cross validation on 42 taxa")
@@ -50,12 +50,12 @@ func TestIncrementalCrossValidation42SC(t *testing.T) {
 	}
 	trB := trA.Clone()
 
-	engA, err := likelihood.NewEngine(pat, m, likelihood.Config{Incremental: true})
+	engA, err := likelihood.NewEngine(pat, m, likelihood.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	engA.AttachTree(trA)
-	engB, err := likelihood.NewEngine(pat, m, likelihood.Config{})
+	engB, err := likelihood.NewEngine(pat, m, likelihood.Config{FullRecompute: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +141,10 @@ func TestIncrementalCrossValidation42SC(t *testing.T) {
 		t.Error("cross validation exercised no cache hits")
 	}
 	if engA.Meter.NewviewCalls >= engB.Meter.NewviewCalls {
-		t.Errorf("incremental engine performed %d combines, full engine %d",
+		t.Errorf("cached engine performed %d combines, full engine %d",
 			engA.Meter.NewviewCalls, engB.Meter.NewviewCalls)
 	}
-	t.Logf("combines: incremental %d vs full %d (%.1fx reduction), %d cache hits",
+	t.Logf("combines: cached %d vs full %d (%.1fx reduction), %d cache hits",
 		engA.Meter.NewviewCalls, engB.Meter.NewviewCalls,
 		float64(engB.Meter.NewviewCalls)/float64(engA.Meter.NewviewCalls),
 		engA.Meter.CacheHits)
@@ -152,7 +152,7 @@ func TestIncrementalCrossValidation42SC(t *testing.T) {
 
 // TestIncrementalSmoothingCombineReduction quantifies the tentpole win: a
 // converged smoothing workload on the 42_SC tree must execute at least 5x
-// fewer newview combines with incremental caching than with full
+// fewer newview combines with the cached default than with full
 // recomputation, while producing the same likelihood.
 func TestIncrementalSmoothingCombineReduction(t *testing.T) {
 	pat := load42SC(t)
@@ -163,11 +163,11 @@ func TestIncrementalSmoothingCombineReduction(t *testing.T) {
 	}
 	trB := trA.Clone()
 
-	engA, err := likelihood.NewEngine(pat, m, likelihood.Config{Incremental: true})
+	engA, err := likelihood.NewEngine(pat, m, likelihood.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	engB, err := likelihood.NewEngine(pat, m, likelihood.Config{})
+	engB, err := likelihood.NewEngine(pat, m, likelihood.Config{FullRecompute: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,8 +100,8 @@ func NNISearchOpts(eng *likelihood.Engine, tr *phylotree.Tree, opt Options) (flo
 		opt.Epsilon = 0.01
 	}
 	eps := opt.Epsilon
-	// Observe topology mutations for incremental cache invalidation (no-op
-	// when Config.Incremental is off).
+	// Observe topology mutations so stored partial vectors are invalidated
+	// automatically.
 	eng.AttachTree(tr)
 	sc := newSearchCtx(eng, opt)
 	defer sc.close(eng)

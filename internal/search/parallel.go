@@ -46,13 +46,10 @@ func AutoWorkersFrom(reg *obs.Registry) int {
 // search-side half of that axis — the regraft candidates of one pruned
 // subtree are independent read-only queries against the frozen tree, so
 // they fan out over a likelihood.Pool, each worker scoring through its own
-// context-bound Views. The other half (wavefront traversal execution)
-// lives in the likelihood package and reuses the same pool.
-
-// minParallelCandidates is the smallest candidate count worth fanning out;
-// below it the per-fanout overhead (goroutine spawn, per-worker view
-// warm-up of the shared path to the root) exceeds the win.
-const minParallelCandidates = 4
+// context-bound Views over the engine's one vector store. A serial search
+// is the same path with a one-worker pool. The other half (wavefront
+// traversal execution) lives in the likelihood package and reuses the
+// same pool.
 
 // candScore is one scored insertion candidate. ok marks candidates that
 // carry a usable score (detached edges are skipped, mirroring the serial
@@ -64,29 +61,24 @@ type candScore struct {
 }
 
 // searchCtx carries the task-parallel state of one search: the worker pool
-// (nil = serial), per-worker view tables, reusable candidate/score buffers
-// (hoisted out of the SPR hot loop — see the hotpathalloc analyzer), and
-// live metric handles.
+// (one worker for a serial search), per-worker view bindings, reusable
+// candidate/score buffers (hoisted out of the SPR hot loop — see the
+// hotpathalloc analyzer), and live metric handles.
 type searchCtx struct {
 	pool  *likelihood.Pool
 	views []*likelihood.Views
 
-	// shared is the engine-wide epoch-tagged vector store every worker's
-	// Views reads through (nil for serial searches): the composition of the
-	// incremental cache with the pool that removes the per-worker
-	// recomputation of shared-path vectors. serialViews is its
-	// primary-context binding, used by the below-minParallelCandidates
-	// fallback so small candidate sets still reuse (and warm) the store
-	// with their kernel counters flowing straight into Engine.Meter.
-	shared      *likelihood.SharedCache
-	serialViews *likelihood.Views
+	// shared is the engine's vector store, read for the cache.* metrics;
+	// publishedHits is the part of its hit total already added to the
+	// cache.shared_hits counter, which every search of a campaign feeds.
+	shared        *likelihood.SharedCache
+	publishedHits uint64
 
 	cands  []*phylotree.Node
 	scores []candScore
 
-	// roundParallel records whether the current round used the pool at
-	// least once; rounds whose prunes all fell under minParallelCandidates
-	// do not count as parallel.
+	// roundParallel records whether the current round fanned candidates
+	// out over more than one worker at least once.
 	roundParallel bool
 
 	// traceRound is the current round's trace context (set by Run before
@@ -102,71 +94,66 @@ type searchCtx struct {
 	busyPeak         *obs.Gauge
 }
 
-// newSearchCtx builds the per-search state from the options: a worker pool
-// with shared-store-backed per-worker view tables when opt.Workers > 1
-// (also installed as the engine's wavefront executor), and metric handles
-// when opt.Metrics is set.
+// newSearchCtx builds the per-search state from the options: a pool of
+// max(opt.Workers, 1) worker contexts with one view binding each —
+// installed as the engine's wavefront executor when it has more than one
+// worker — and metric handles when opt.Metrics is set.
 func newSearchCtx(eng *likelihood.Engine, opt Options) *searchCtx {
-	sc := &searchCtx{traceRound: opt.Trace}
+	sc := &searchCtx{traceRound: opt.Trace, shared: eng.Shared()}
+	sc.pool = eng.NewPool(opt.Workers)
+	sc.views = make([]*likelihood.Views, sc.pool.Workers())
+	for w := range sc.views {
+		sc.views[w] = sc.pool.Ctx(w).Views()
+	}
 	if opt.Metrics != nil {
 		sc.candidatesScored = opt.Metrics.Counter("search.candidates_scored")
 		sc.parallelRounds = opt.Metrics.Counter("search.parallel_rounds")
+		sc.sharedHits = opt.Metrics.Counter("cache.shared_hits")
+		sc.epochGauge = opt.Metrics.Gauge("cache.epoch")
 	}
-	if opt.Workers > 1 {
-		sc.pool = eng.NewPool(opt.Workers)
+	if sc.pool.Workers() > 1 {
 		eng.UsePool(sc.pool)
-		sc.shared = eng.NewSharedCache()
-		eng.UseSharedCache(sc.shared)
-		// Shared-backed view tables are built once and survive tree edits
-		// (the store's epoch tags track them) — no per-prune rebuild.
-		sc.views = make([]*likelihood.Views, sc.pool.Workers())
-		for w := range sc.views {
-			sc.views[w] = sc.pool.Ctx(w).NewSharedViews(sc.shared)
-		}
-		sc.serialViews = eng.NewSharedViews(sc.shared)
 		if opt.Metrics != nil {
 			opt.Metrics.Gauge("search.pool_workers").Set(float64(sc.pool.Workers()))
 			busy := opt.Metrics.Gauge("search.pool_busy")
 			sc.pool.OnOccupancy = func(b, _ int) { busy.Set(float64(b)) }
 			sc.busyPeak = opt.Metrics.Gauge("search.pool_busy_peak")
-			sc.sharedHits = opt.Metrics.Counter("cache.shared_hits")
-			sc.epochGauge = opt.Metrics.Gauge("cache.epoch")
 		}
 	}
 	return sc
 }
 
-// close detaches the pool and the shared vector store from the engine; the
-// search installed them, so the search removes them before handing the
-// engine back to the caller.
+// close detaches the pool from the engine; the search installed it, so the
+// search removes it before handing the engine back to the caller.
 func (sc *searchCtx) close(eng *likelihood.Engine) {
 	sc.publishCacheMetrics()
-	if sc.pool != nil {
-		eng.UseSharedCache(nil)
+	if sc.pool.Workers() > 1 {
 		eng.UsePool(nil)
-		if sc.candidatesScored != nil {
-			sc.pool.OnOccupancy = nil
-		}
+		sc.pool.OnOccupancy = nil
 	}
 }
 
-// publishCacheMetrics republishes the shared-store totals and the pool's
-// occupancy high-water mark; called at every round boundary and at close.
+// publishCacheMetrics adds the vector store's new hits to the shared-hits
+// counter and republishes its epoch and the pool's occupancy high-water
+// mark; called at every round boundary and at close.
 func (sc *searchCtx) publishCacheMetrics() {
 	if sc.sharedHits != nil {
-		sc.sharedHits.Store(sc.shared.Hits())
+		hits := sc.shared.Hits()
+		sc.sharedHits.Add(hits - sc.publishedHits)
+		sc.publishedHits = hits
 		sc.epochGauge.Set(float64(sc.shared.Epoch()))
+	}
+	if sc.busyPeak != nil {
 		sc.busyPeak.Set(float64(sc.pool.PeakBusy()))
 	}
 }
 
 // scoreInsertions fills sc.scores with the lazy insertion score of every
-// candidate edge for the subtree pruned by ps (starting branch length z0).
-// With a pool it fans the candidates out, each worker scoring through its
-// own context's Views; serially it scores through one Views in candidate
-// order, exactly like the pre-parallel code. Either way the returned slice
-// is indexed by candidate, so the caller's reduction — and therefore the
-// chosen move — is independent of scheduling. The first error in candidate
+// candidate edge for the subtree pruned by ps (starting branch length z0),
+// fanning the candidates out over the pool, each worker scoring through
+// its own context's Views. The returned slice is indexed by candidate, so
+// the caller's reduction — and therefore the chosen move — is independent
+// of scheduling and of the worker count. The first error in candidate
 // order wins, matching the serial early-exit.
 func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.Node, ps *phylotree.PrunedSubtree, z0 float64) ([]candScore, error) {
 	sub := ps.P
@@ -182,36 +169,10 @@ func (sc *searchCtx) scoreInsertions(eng *likelihood.Engine, cands []*phylotree.
 	for i := range scores {
 		scores[i] = candScore{}
 	}
-
-	if sc.pool == nil || len(cands) < minParallelCandidates {
-		// Small candidate sets score serially: through the shared store's
-		// primary-context binding when the search has one (reusing and
-		// warming the same vectors the pooled fan-outs do), otherwise
-		// through a private one-shot Views exactly like the serial search.
-		views, oneShot := sc.serialViews, false
-		if views == nil {
-			views, oneShot = eng.NewViews(), true
-		}
-		for i, cand := range cands {
-			if cand.Back == nil {
-				continue
-			}
-			z, ll, err := views.InsertionScore(cand, sub, z0)
-			if err != nil {
-				if oneShot {
-					views.Release()
-				}
-				return nil, err
-			}
-			scores[i] = candScore{z: z, ll: ll, ok: true}
-		}
-		if oneShot {
-			views.Release()
-		}
-		return scores, nil
+	eng.BeginBatch()
+	if sc.pool.Workers() > 1 && len(cands) > 1 {
+		sc.roundParallel = true
 	}
-
-	sc.roundParallel = true
 	sc.pool.Run(len(cands), func(w, i int) {
 		cand := cands[i]
 		if cand.Back == nil {

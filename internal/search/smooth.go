@@ -17,9 +17,9 @@ import (
 // less than eps. It returns the final log-likelihood.
 //
 // No explicit cache management is needed here: MakeNewz invalidates the
-// engine's incremental partial-vector caches itself whenever it changes a
-// branch length, so under Config.Incremental each Newton step recomputes
-// only the views the previous step dirtied instead of the whole tree.
+// engine's vector store itself whenever it changes a branch length, so
+// each Newton step recomputes only the views the previous step dirtied
+// instead of the whole tree (all of it under Config.FullRecompute).
 func SmoothBranches(eng *likelihood.Engine, tr *phylotree.Tree, maxPasses int, eps float64) (float64, error) {
 	if maxPasses <= 0 {
 		maxPasses = 1

@@ -38,11 +38,12 @@ type Options struct {
 	// SPR/NNI insertion candidates of each pruned subtree are scored
 	// concurrently on a pool of Workers kernel contexts, and traversal
 	// descriptors execute wavefront-parallel on the same pool, all workers
-	// reading ancestral vectors through one epoch-tagged shared store
+	// reading ancestral vectors through the engine's one epoch-tagged store
 	// (likelihood.SharedCache) so no worker redoes another's shared-path
-	// newview work. The chosen moves, final topology and log-likelihood are identical to the serial
-	// search (up to documented FP summation order, see DESIGN.md
-	// "Parallelism layers"); <= 1 runs fully serial. Orthogonal to
+	// newview work. The chosen moves, final topology and log-likelihood
+	// are identical to the serial search (up to documented FP summation
+	// order, see DESIGN.md "Parallelism layers"); <= 1 runs the same path
+	// on a single worker. Orthogonal to
 	// likelihood.Config.Threads, which splits the per-pattern loops
 	// *inside* one kernel call — total concurrency ≈ Workers × Threads.
 	Workers int
@@ -50,9 +51,9 @@ type Options struct {
 	// Metrics, when non-nil, receives the live search series: the
 	// search.candidates_scored / search.parallel_rounds counters, the
 	// search.pool_workers / search.pool_busy / search.pool_busy_peak
-	// occupancy gauges, the search.round_ms latency histogram, and — for
-	// pooled searches — the shared vector store's cache.shared_hits counter
-	// and cache.epoch gauge.
+	// occupancy gauges (pooled searches only), the search.round_ms latency
+	// histogram, and the vector store's cache.shared_hits counter and
+	// cache.epoch gauge.
 	Metrics *obs.Registry
 
 	// Trace is the wall-clock span context this search records into
@@ -183,9 +184,8 @@ func Run(eng *likelihood.Engine, start *phylotree.Tree, opt Options) (*Result, e
 	if err := start.Validate(); err != nil {
 		return nil, fmt.Errorf("search: starting tree: %w", err)
 	}
-	// With incremental caching enabled, let the engine observe topology
-	// mutations so cached partial vectors are invalidated automatically
-	// (no-op when Config.Incremental is off).
+	// Let the engine observe topology mutations so stored partial vectors
+	// are invalidated automatically.
 	eng.AttachTree(start)
 
 	// Task-level parallelism: candidate scoring and wavefront traversal
